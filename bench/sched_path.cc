@@ -1,28 +1,25 @@
-// Stage-1/2 scheduling hot path microbench: ns per schedule_and_sync call
-// under the two scheduler implementations (DESIGN.md §8).
+// Stage-2 scheduling hot path microbench: ns per Scheduler::schedule call
+// against the reference implementation kept as the differential oracle
+// (testing/sched_reference.h, DESIGN.md §8).
 //
-//   reference  per-worker WST read() snapshots, scalar filter loops, and
-//              an unconditional M_sel store per sync
-//   fast       one SoA gather over the group slice, branchless bit-walking
-//              fixed-point filters, and change-suppressed sync (the store
-//              is skipped while the bitmap is unchanged within
-//              sync_refresh_interval)
+//   reference  per-worker WST read() snapshots and scalar filter loops
+//   fast       Scheduler::schedule: one SoA gather over the group slice,
+//              then branchless bit-walking fixed-point filters
 //
 // Scenarios, all at 64 workers (one full bitmap word — the paper's group
 // size and the acceptance geometry):
 //   steady   static load split: half the workers over the connection
-//            threshold; the bitmap never changes, so the fast path
-//            suppresses almost every store (its best case, and the sim's
-//            common case — load shifts slowly relative to loop rate);
+//            threshold; the bitmap never changes (the sim's common case —
+//            load shifts slowly relative to loop rate);
 //   churn    one worker's pending count toggles every call, so the bitmap
-//            keeps flipping and suppression almost never fires (the fast
-//            path's worst case: pure filter-speed comparison).
+//            keeps flipping.
 //
 // Wall-clock metrics carry the _cost_ns / .speedup suffixes and are
 // reported but never gated (bench/bench_gate_check.cc); the gated metrics
-// are deterministic: published/suppressed sync counts and the final bitmap
-// checksum of a scripted virtual-time sweep, which any change to filter
-// semantics or suppression policy would shift.
+// are deterministic: the published/suppressed sync counts of a scripted
+// virtual-time schedule_and_sync sweep, and the bitmap checksum of that
+// sweep as computed by the scheduler and by the reference, which any
+// change to filter semantics or suppression policy would shift.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -32,6 +29,7 @@
 #include "core/hermes.h"
 #include "core/scheduler.h"
 #include "simcore/rng.h"
+#include "testing/sched_reference.h"
 #include "util/check.h"
 
 namespace hermes::bench {
@@ -78,104 +76,107 @@ void fill_steady(core::HermesRuntime& rt, SimTime now) {
   }
 }
 
-struct PathResult {
-  double steady_cost_ns = 0;
-  double churn_cost_ns = 0;
-  uint64_t steady_syncs = 0;
-  uint64_t steady_suppressed = 0;
-  uint64_t churn_syncs = 0;
-  uint64_t churn_suppressed = 0;
-  uint64_t bitmap_checksum = 0;
+// ns per call of `schedule(rt, now)` over one scenario's WST mutation
+// script (the fast path and the reference run identical scripts).
+template <typename ScheduleFn>
+double scenario_cost_ns(bool churn, ScheduleFn&& schedule) {
+  core::HermesRuntime rt = make_runtime(kWorkers);
+  const SimTime t0 = SimTime::seconds(1);
+  fill_steady(rt, t0);
+  int64_t vnow = t0.ns();
+  return ns_per_op(
+      [&](int i) {
+        vnow += kStepNs;
+        // Heartbeat refresh keeps everyone inside the hang threshold
+        // without entering the timed loop (50 ms threshold vs 100 ms of
+        // virtual time covered): re-heartbeat every 2^15 calls (~33 ms).
+        if ((i & 0x7fff) == 0) {
+          for (WorkerId w = 0; w < kWorkers; ++w) {
+            rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
+          }
+        }
+        // Churn toggles worker 0 across the pending-events threshold, so
+        // the bitmap flips every call.
+        if (churn) rt.wst().add_pending(0, (i & 1) != 0 ? -1'000 : 1'000);
+        (void)schedule(rt, SimTime::nanos(vnow));
+      },
+      kTimedIters);
+}
+
+struct PathCosts {
+  double steady_ns = 0;
+  double churn_ns = 0;
 };
 
-PathResult run_path(core::SchedPath path) {
-  PathResult r;
+template <typename ScheduleFn>
+PathCosts path_costs(ScheduleFn&& schedule) {
+  return {scenario_cost_ns(false, schedule), scenario_cost_ns(true, schedule)};
+}
 
-  // --- steady scenario -------------------------------------------------
-  {
-    core::HermesRuntime rt = make_runtime(kWorkers);
-    rt.scheduler().set_path(path);
-    const SimTime t0 = SimTime::seconds(1);
-    fill_steady(rt, t0);
-    int64_t vnow = t0.ns();
-    // Heartbeat refresh keeps everyone inside the hang threshold without
-    // entering the timed loop (50 ms threshold vs 100 ms of virtual time
-    // covered): re-heartbeat every 2^15 calls (~33 ms).
-    r.steady_cost_ns = ns_per_op(
-        [&](int i) {
-          vnow += kStepNs;
-          if ((i & 0x7fff) == 0) {
-            for (WorkerId w = 0; w < kWorkers; ++w) {
-              rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
-            }
-          }
-          (void)rt.schedule_and_sync(static_cast<WorkerId>(i & 63),
-                                     SimTime::nanos(vnow));
-        },
-        kTimedIters);
+core::ScheduleResult fast_schedule(core::HermesRuntime& rt, SimTime now) {
+  return rt.scheduler().schedule(rt.wst(), now, 0, kWorkers);
+}
+
+core::ScheduleResult reference_schedule(core::HermesRuntime& rt,
+                                        SimTime now) {
+  const core::HermesConfig& cfg = rt.config();
+  return core::schedule_reference_with_order(cfg, rt.wst(), now,
+                                             cfg.stage_order, cfg.num_stages,
+                                             0, kWorkers);
+}
+
+// Deterministic scripted sweep (gated metrics): a fixed mutation script
+// over virtual time through the production schedule_and_sync. Counters and
+// both bitmap checksums must be identical on every machine and every run.
+struct SweepResult {
+  uint64_t syncs = 0;
+  uint64_t suppressed = 0;
+  uint64_t checksum_fast = 0;
+  uint64_t checksum_reference = 0;
+};
+
+SweepResult run_sweep() {
+  SweepResult r;
+  core::HermesRuntime rt = make_runtime(kWorkers);
+  sim::Rng rng(42);
+  int64_t vnow = SimTime::seconds(1).ns();
+  for (WorkerId w = 0; w < kWorkers; ++w) {
+    rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
+    rt.wst().add_connections(w, static_cast<int64_t>(rng.next_below(200)));
   }
-
-  // --- churn scenario --------------------------------------------------
-  {
-    core::HermesRuntime rt = make_runtime(kWorkers);
-    rt.scheduler().set_path(path);
-    const SimTime t0 = SimTime::seconds(1);
-    fill_steady(rt, t0);
-    int64_t vnow = t0.ns();
-    r.churn_cost_ns = ns_per_op(
-        [&](int i) {
-          vnow += kStepNs;
-          if ((i & 0x7fff) == 0) {
-            for (WorkerId w = 0; w < kWorkers; ++w) {
-              rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
-            }
-          }
-          // Toggle worker 0 across the pending-events threshold: the
-          // bitmap flips every call, so suppression never helps.
-          rt.wst().add_pending(0, (i & 1) != 0 ? -1'000 : 1'000);
-          (void)rt.schedule_and_sync(static_cast<WorkerId>(i & 63),
-                                     SimTime::nanos(vnow));
-        },
-        kTimedIters);
-  }
-
-  // --- deterministic scripted sweep (gated metrics) ---------------------
-  // Fixed mutation script over virtual time; counters and the bitmap
-  // checksum must be identical on every machine and every run.
-  {
-    core::HermesRuntime rt = make_runtime(kWorkers);
-    rt.scheduler().set_path(path);
-    sim::Rng rng(42);
-    int64_t vnow = SimTime::seconds(1).ns();
-    for (WorkerId w = 0; w < kWorkers; ++w) {
-      rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
-      rt.wst().add_connections(w, static_cast<int64_t>(rng.next_below(200)));
-    }
-    for (int i = 0; i < 20'000; ++i) {
-      vnow += kStepNs;
-      if (i % 1000 == 0) {
-        for (WorkerId w = 0; w < kWorkers; ++w) {
-          rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
-        }
+  for (int i = 0; i < 20'000; ++i) {
+    vnow += kStepNs;
+    if (i % 1000 == 0) {
+      for (WorkerId w = 0; w < kWorkers; ++w) {
+        rt.hooks_for(w).on_loop_enter(SimTime::nanos(vnow));
       }
-      if (i % 64 == 0) {
-        const auto w = static_cast<WorkerId>(rng.next_below(kWorkers));
-        rt.wst().add_connections(w, 500);
-      }
-      const auto res = rt.schedule_and_sync(
-          static_cast<WorkerId>(i & 63), SimTime::nanos(vnow));
-      r.bitmap_checksum = r.bitmap_checksum * 1099511628211ull ^ res.bitmap;
     }
-    r.steady_syncs = rt.counters().syncs;
-    r.steady_suppressed = rt.counters().syncs_suppressed;
+    if (i % 64 == 0) {
+      const auto w = static_cast<WorkerId>(rng.next_below(kWorkers));
+      rt.wst().add_connections(w, 500);
+    }
+    const SimTime now = SimTime::nanos(vnow);
+    const auto res = rt.schedule_and_sync(static_cast<WorkerId>(i & 63), now);
+    const auto ref = reference_schedule(rt, now);
+    // The timing comparison is only meaningful between two schedulers
+    // that compute the same thing.
+    HERMES_CHECK_MSG(res.bitmap == ref.bitmap &&
+                         res.after_time == ref.after_time &&
+                         res.after_conn == ref.after_conn &&
+                         res.after_event == ref.after_event,
+                     "fast/reference scheduler divergence");
+    r.checksum_fast = r.checksum_fast * 1099511628211ull ^ res.bitmap;
+    r.checksum_reference = r.checksum_reference * 1099511628211ull ^ ref.bitmap;
   }
+  r.syncs = rt.counters().syncs;
+  r.suppressed = rt.counters().syncs_suppressed;
   return r;
 }
 
 // Two-level variant: 256 workers in 4 groups, one WST scan for all groups
 // vs four per-group schedule_and_sync calls.
 struct TwoLevelResult {
-  double per_group_cost_ns = 0;  // 4x schedule_and_sync (fast path)
+  double per_group_cost_ns = 0;  // 4x schedule_and_sync
   double all_groups_cost_ns = 0; // one schedule_all_groups call
 };
 
@@ -184,7 +185,6 @@ TwoLevelResult run_two_level() {
   TwoLevelResult r;
   {
     core::HermesRuntime rt = make_runtime(kBigWorkers);
-    rt.scheduler().set_path(core::SchedPath::Fast);
     fill_steady(rt, SimTime::seconds(1));
     int64_t vnow = SimTime::seconds(1).ns();
     const uint32_t wpg = rt.workers_per_group();
@@ -205,7 +205,6 @@ TwoLevelResult run_two_level() {
   }
   {
     core::HermesRuntime rt = make_runtime(kBigWorkers);
-    rt.scheduler().set_path(core::SchedPath::Fast);
     fill_steady(rt, SimTime::seconds(1));
     int64_t vnow = SimTime::seconds(1).ns();
     std::vector<core::ScheduleResult> out(rt.num_groups());
@@ -224,55 +223,32 @@ TwoLevelResult run_two_level() {
   return r;
 }
 
-// Differential spot check inside the bench itself: the two paths must
-// compute identical bitmaps on the bench's own scenarios, or the timing
-// comparison is between two different schedulers.
-void check_paths_agree() {
-  core::HermesRuntime rt = make_runtime(kWorkers);
-  const SimTime now = SimTime::seconds(1);
-  fill_steady(rt, now);
-  core::Scheduler& s = rt.scheduler();
-  const auto& cfg = s.config();
-  s.set_path(core::SchedPath::Fast);
-  const auto fast = s.schedule_with_order(rt.wst(), now, cfg.stage_order,
-                                          cfg.num_stages, 0, kWorkers);
-  const auto ref = s.schedule_reference_with_order(
-      rt.wst(), now, cfg.stage_order, cfg.num_stages, 0, kWorkers);
-  HERMES_CHECK_MSG(fast.bitmap == ref.bitmap &&
-                       fast.after_time == ref.after_time &&
-                       fast.after_conn == ref.after_conn &&
-                       fast.after_event == ref.after_event,
-                   "fast/reference scheduler divergence");
-}
-
 int main_impl(int argc, char** argv) {
   BenchJson json("sched_path", &argc, argv);
-  header("sched_path: ns/schedule_and_sync per scheduler path, 64 workers");
+  header("sched_path: ns/schedule per scheduler implementation, 64 workers");
 
-  check_paths_agree();
-
-  const PathResult ref = run_path(core::SchedPath::Reference);
-  const PathResult fast = run_path(core::SchedPath::Fast);
+  const SweepResult sweep = run_sweep();
+  const PathCosts ref = path_costs(reference_schedule);
+  const PathCosts fast = path_costs(fast_schedule);
   const TwoLevelResult two = run_two_level();
 
   std::printf("\n%-12s %16s %16s\n", "path", "steady ns/call", "churn ns/call");
-  std::printf("%-12s %16.1f %16.1f\n", "reference", ref.steady_cost_ns,
-              ref.churn_cost_ns);
-  std::printf("%-12s %16.1f %16.1f\n", "fast", fast.steady_cost_ns,
-              fast.churn_cost_ns);
+  std::printf("%-12s %16.1f %16.1f\n", "reference", ref.steady_ns,
+              ref.churn_ns);
+  std::printf("%-12s %16.1f %16.1f\n", "fast", fast.steady_ns,
+              fast.churn_ns);
 
-  const double steady_speedup = ref.steady_cost_ns / fast.steady_cost_ns;
-  const double churn_speedup = ref.churn_cost_ns / fast.churn_cost_ns;
+  const double steady_speedup = ref.steady_ns / fast.steady_ns;
+  const double churn_speedup = ref.churn_ns / fast.churn_ns;
   std::printf("\nspeedup steady: %.2fx   churn: %.2fx\n", steady_speedup,
               churn_speedup);
 
   const double total = 20'000.0;
-  std::printf("scripted sweep (20k calls): fast published %llu, suppressed "
-              "%llu (%.1f%%); reference published %llu\n",
-              static_cast<unsigned long long>(fast.steady_syncs),
-              static_cast<unsigned long long>(fast.steady_suppressed),
-              100.0 * static_cast<double>(fast.steady_suppressed) / total,
-              static_cast<unsigned long long>(ref.steady_syncs));
+  std::printf("scripted schedule_and_sync sweep (20k calls): published %llu, "
+              "suppressed %llu (%.1f%%)\n",
+              static_cast<unsigned long long>(sweep.syncs),
+              static_cast<unsigned long long>(sweep.suppressed),
+              100.0 * static_cast<double>(sweep.suppressed) / total);
   std::printf("two-level (256 workers, 4 groups): per-group %.1f ns, "
               "single-scan %.1f ns (%.2fx)\n",
               two.per_group_cost_ns, two.all_groups_cost_ns,
@@ -286,25 +262,21 @@ int main_impl(int argc, char** argv) {
               steady_speedup, steady_speedup >= 2.0 ? "PASS" : "FAIL");
 
   // Wall-clock: reported, never gated.
-  json.metric("reference_steady_cost_ns", ref.steady_cost_ns);
-  json.metric("reference_churn_cost_ns", ref.churn_cost_ns);
-  json.metric("fast_steady_cost_ns", fast.steady_cost_ns);
-  json.metric("fast_churn_cost_ns", fast.churn_cost_ns);
+  json.metric("reference_steady_cost_ns", ref.steady_ns);
+  json.metric("reference_churn_cost_ns", ref.churn_ns);
+  json.metric("fast_steady_cost_ns", fast.steady_ns);
+  json.metric("fast_churn_cost_ns", fast.churn_ns);
   json.metric("steady.speedup", steady_speedup);
   json.metric("churn.speedup", churn_speedup);
   json.metric("two_level_per_group_cost_ns", two.per_group_cost_ns);
   json.metric("two_level_all_groups_cost_ns", two.all_groups_cost_ns);
   // Deterministic: gated against bench/baseline.json.
-  json.metric("fast_sweep_syncs", static_cast<double>(fast.steady_syncs));
-  json.metric("fast_sweep_suppressed",
-              static_cast<double>(fast.steady_suppressed));
-  json.metric("reference_sweep_syncs", static_cast<double>(ref.steady_syncs));
-  json.metric("reference_sweep_suppressed",
-              static_cast<double>(ref.steady_suppressed));
+  json.metric("fast_sweep_syncs", static_cast<double>(sweep.syncs));
+  json.metric("fast_sweep_suppressed", static_cast<double>(sweep.suppressed));
   json.metric("sweep_bitmap_checksum_fast",
-              static_cast<double>(fast.bitmap_checksum % 1'000'000'007));
+              static_cast<double>(sweep.checksum_fast % 1'000'000'007));
   json.metric("sweep_bitmap_checksum_reference",
-              static_cast<double>(ref.bitmap_checksum % 1'000'000'007));
+              static_cast<double>(sweep.checksum_reference % 1'000'000'007));
   return 0;
 }
 

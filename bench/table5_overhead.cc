@@ -304,9 +304,8 @@ ObsOverhead measure_obs_overhead() {
         m.filter_runs, m.filter_after_time, m.filter_after_conn,
         m.filter_after_event, m.filter_low_survivor, m.sync_published,
         m.sync_dropped, m.dispatch_picks, m.dispatch_bpf,
-        m.dispatch_fallback, m.dispatch_hash, m.bpf_tier_dispatches[0],
-        m.bpf_tier_dispatches[1], m.bpf_tier_dispatches[2],
-        m.bpf_tier_dispatches[3], m.bpf_fused_ops,
+        m.dispatch_fallback, m.dispatch_hash, m.bpf_elide_dispatches,
+        m.bpf_jit_dispatches, m.bpf_fused_ops,
         m.bpf_elided_checks, m.bpf_jit_fallbacks, m.accept_enqueued,
         m.accept_dropped, m.sched_syncs_suppressed,
         // L7 data-plane counters: all zero here (data plane disabled in

@@ -101,8 +101,7 @@ void usage() {
       "  --sync-us N    min gap between decision syncs, 0 = every loop\n"
       "  --metrics      dump the observability registry after the run\n"
       "  --data-plane   enable the byte-level L7 data plane (HTTP wire\n"
-      "                 synthesis, keep-alive parsing, zero-copy forward;\n"
-      "                 HERMES_ZEROCOPY=0 switches to the copy oracle)\n"
+      "                 synthesis, keep-alive parsing, zero-copy forward)\n"
       "  --trace-dump N print the last N trace-ring events\n"
       "  --trace-json P write chrome://tracing JSON of the trace rings to P");
 }
@@ -136,10 +135,7 @@ int main(int argc, char** argv) {
   cfg.seed = a.seed;
   cfg.hermes.theta_ratio = a.theta;
   cfg.worker.min_sync_interval = SimTime::micros(a.sync_us);
-  if (a.data_plane) {
-    cfg.data_plane.enabled = true;
-    cfg.data_plane.zero_copy = http::zero_copy_enabled_from_env();
-  }
+  cfg.data_plane.enabled = a.data_plane;
   sim::LbDevice lb(cfg);
 
   const SimTime end = SimTime::from_seconds_f(a.seconds);

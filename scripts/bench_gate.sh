@@ -16,8 +16,9 @@
 #   analysis_cost     verifier cost table (abstract-interpreter behavior)
 #   dispatch_path     per-tier eBPF dispatch cost; gates the deterministic
 #                     plan shape and insns/fused/elided-per-dispatch rates
-#   sched_path        fast-vs-reference schedule_and_sync cost; gates the
-#                     sweep sync/suppression counts and bitmap checksums
+#   sched_path        Scheduler::schedule vs the reference implementation;
+#                     gates a schedule_and_sync sweep's sync/suppression
+#                     counts and bitmap checksums
 #   fleet_scale       multi-LB fleet at 100k conns (FLEET_SCALE_CONNS):
 #                     gates connection counts, PCC violation counts and
 #                     fleet imbalance; the 1M leg runs nightly in CI

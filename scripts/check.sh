@@ -43,70 +43,28 @@ run_suite() {
   cmake --build "$dir" -j "$JOBS"
   echo "==> ctest ${dir} -L '${LABELS}'"
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L "$LABELS"
-  run_tier_sweep "$dir"
-  run_sched_sweep "$dir"
-  run_zerocopy_sweep "$dir"
+  run_jit_legs "$dir"
   run_policy_sweep "$dir"
 }
 
-# eBPF execution-tier sweep: the suite above ran at the default tier
-# (HERMES_BPF_TIER unset = 2, check elision). Re-run the bpf-labeled
-# suites pinned to the reference interpreter (0), the threaded plan (1),
-# and the native JIT (3) so every tier keeps identical semantics; under a
-# sanitizer tree this is also what would catch an unsoundly elided bounds
-# check or a codegen slip. Tier 3 silently lands on tier 2 on non-x86-64
-# hosts (the tests assert the fallback contract instead). The final leg
-# pins tier 3 with the JIT switched off, exercising the
-# codegen-unavailable fallback path end to end.
-run_tier_sweep() {
+# eBPF JIT legs: the suite above already ran every bpf-labeled case at
+# both execution tiers (Elide and Jit) in-process. The first leg switches
+# the JIT off, exercising the codegen-unavailable fallback path end to end.
+# The translation-validation legs force the validator on over the full
+# bpf-labeled set: every tier-3 compile must be proven equivalent to its
+# micro-op stream before running — a rejection (see the validate-labeled
+# suite for the mutation self-test) fails the leg loudly.
+run_jit_legs() {
   local dir=$1
-  for tier in 0 1 3; do
-    echo "==> ctest ${dir} -L bpf (HERMES_BPF_TIER=$tier)"
-    HERMES_BPF_TIER=$tier \
-      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L bpf
-  done
-  echo "==> ctest ${dir} -L jit (HERMES_BPF_TIER=3 HERMES_BPF_JIT=off)"
-  HERMES_BPF_TIER=3 HERMES_BPF_JIT=off \
+  echo "==> ctest ${dir} -L jit (HERMES_BPF_JIT=off)"
+  HERMES_BPF_JIT=off \
     ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L jit
-  # Translation-validation leg: tier 3 with the validator forced on, over
-  # the full bpf-labeled set. Every compile must be proven equivalent to
-  # its micro-op stream before running — a rejection (see the validate-
-  # labeled suite for the mutation self-test) fails this leg loudly.
-  echo "==> ctest ${dir} -L bpf (HERMES_BPF_TIER=3 HERMES_BPF_VALIDATE=1)"
-  HERMES_BPF_TIER=3 HERMES_BPF_VALIDATE=1 \
+  echo "==> ctest ${dir} -L bpf (HERMES_BPF_VALIDATE=1)"
+  HERMES_BPF_VALIDATE=1 \
     ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L bpf
   echo "==> ctest ${dir} -L validate (HERMES_BPF_VALIDATE=1)"
   HERMES_BPF_VALIDATE=1 \
     ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L validate
-}
-
-# Scheduler-path sweep: the suite above ran with the default fast path
-# (HERMES_SCHED_FAST unset). Re-run the sched-labeled suites pinned to
-# each path so the SoA/branchless rewrite and the reference oracle keep
-# bit-identical bitmaps — under a sanitizer tree this is also what would
-# catch an out-of-bounds SoA gather or a bad fixed-point clamp.
-run_sched_sweep() {
-  local dir=$1
-  for path in 0 1; do
-    echo "==> ctest ${dir} -L sched (HERMES_SCHED_FAST=$path)"
-    HERMES_SCHED_FAST=$path \
-      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L sched
-  done
-}
-
-# L7 data-plane sweep: the suite above ran with the default forwarding
-# mode (HERMES_ZEROCOPY unset = zero-copy). Re-run the http-labeled
-# suites pinned to each mode so the splice-style path and the copying
-# oracle keep identical parse results and bit-identical byte streams.
-# Under an ASan tree the zero-copy leg is also the use-after-free gate
-# for the refcounted iobuf segments that parsed header views borrow from.
-run_zerocopy_sweep() {
-  local dir=$1
-  for zc in 0 1; do
-    echo "==> ctest ${dir} -L http (HERMES_ZEROCOPY=$zc)"
-    HERMES_ZEROCOPY=$zc \
-      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L http
-  done
 }
 
 # Scheduling-policy sweep: the suite above ran with the default policy

@@ -5,8 +5,6 @@
 // rewrite preserves final register state and instruction accounting.
 #include "bpf/plan.h"
 
-#include <cstdlib>
-
 #include "bpf/analysis/interp.h"
 #include "bpf/jit/jit.h"
 #include "bpf/jit/validate/validate.h"
@@ -18,8 +16,6 @@ ExecutionPlan::~ExecutionPlan() = default;
 
 const char* to_string(ExecTier t) {
   switch (t) {
-    case ExecTier::Interp: return "interp";
-    case ExecTier::Threaded: return "threaded";
     case ExecTier::Elide: return "elide";
     case ExecTier::Jit: return "jit";
   }
@@ -35,20 +31,6 @@ const char* to_string(JitFallbackKind k) {
     case JitFallbackKind::Other: return "other";
   }
   return "?";
-}
-
-ExecTier default_tier() {
-  static const ExecTier tier = [] {
-    const char* e = std::getenv("HERMES_BPF_TIER");
-    if (e != nullptr && e[0] != '\0' && e[1] == '\0') {
-      if (e[0] == '0') return ExecTier::Interp;
-      if (e[0] == '1') return ExecTier::Threaded;
-      if (e[0] == '2') return ExecTier::Elide;
-      if (e[0] == '3') return ExecTier::Jit;
-    }
-    return ExecTier::Elide;
-  }();
-  return tier;
 }
 
 namespace {
@@ -166,7 +148,6 @@ int64_t ptr_bits(const void* p) {
 std::unique_ptr<ExecutionPlan> compile_plan(
     const Program& prog, std::span<Map* const> maps,
     const analysis::AnalysisResult* facts, ExecTier tier) {
-  if (tier == ExecTier::Interp) return nullptr;
   HERMES_CHECK(!prog.empty());
 
   auto plan = std::make_unique<ExecutionPlan>();
@@ -183,6 +164,10 @@ std::unique_ptr<ExecutionPlan> compile_plan(
   // mid-superinstruction.
   std::vector<uint8_t> is_target(prog.size(), 0);
   for (size_t pc = 0; pc < prog.size(); ++pc) {
+    // Every micro-op indexes regs[] by both fields regardless of op; the
+    // verifier's structural prescan guarantees this for loaded programs.
+    HERMES_CHECK_MSG(prog[pc].dst < kNumRegs && prog[pc].src < kNumRegs,
+                     "bpf plan: bad register field");
     if (is_jump_op(prog[pc].op)) {
       const int64_t t = static_cast<int64_t>(pc) + 1 + prog[pc].off;
       HERMES_CHECK_MSG(t >= 0 && t < static_cast<int64_t>(prog.size()),
@@ -205,8 +190,7 @@ std::unique_ptr<ExecutionPlan> compile_plan(
   }
   // Tier 3 compiles the tier-2 (elided) micro-op stream to native code;
   // elision licensing is identical.
-  const bool elide =
-      (tier == ExecTier::Elide || tier == ExecTier::Jit) && facts != nullptr;
+  const bool elide = facts != nullptr;
 
   std::vector<uint32_t> uop_of_pc(prog.size(), kNoUop);
   // Micro-op -> source pc, for the translation validator's elision-

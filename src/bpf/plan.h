@@ -2,25 +2,29 @@
 // is a pre-decoded, direct-threaded form of a verified program, compiled
 // once at Vm::load time and reused for every dispatch.
 //
-// Tier 0 (bpf/vm.cc) stays the reference switch interpreter. Tier 1
-// compiles the program into a flat micro-op array: jump offsets resolved
-// to absolute indices, LdMapFd slots resolved to map pointers, helper
-// calls specialized per helper id with their map argument pre-downcast,
-// and the popcount / rank-select idioms that core/dispatch_prog.cc emits
-// fused into superinstructions (19-insn Hamming weight -> 1 micro-op,
-// 3-insn clear-lowest-bit -> 1, 4-insn isolate-lowest-bit -> 1). Dispatch
-// uses computed goto where the compiler supports it. Tier 2 additionally
+// compile_plan turns the program into a flat micro-op array: jump offsets
+// resolved to absolute indices, LdMapFd slots resolved to map pointers,
+// helper calls specialized per helper id, and the popcount / rank-select
+// idioms that core/dispatch_prog.cc emits fused into superinstructions
+// (19-insn Hamming weight -> 1 micro-op, 3-insn clear-lowest-bit -> 1,
+// 4-insn isolate-lowest-bit -> 1). Dispatch uses computed goto where the
+// compiler supports it. Given the verifier's facts, the compiler also
 // elides runtime bounds checks at accesses the abstract interpreter
 // (bpf/analysis/) proved in-bounds for every execution — which, for a
 // verified program, is every access it visited; accesses the analysis
-// range-pruned as dead keep the checked micro-op.
+// range-pruned as dead keep the checked micro-op. Without facts every
+// access stays checked (the form tests compile to cover the checked
+// micro-ops).
 //
-// Semantics are bit-identical to Tier 0 by construction and by test: a
-// fused micro-op writes the exact final register values of the sequence it
-// replaces (including clobbered scratch registers) and charges the
-// sequence's full instruction count, so RunResult::insns_executed — the
-// Table 5 overhead metric — is tier-invariant. tests/torture_bpf_diff_test
-// runs all tiers over >= 10k fuzzed programs and demands byte-identical
+// Two tiers are selectable: Elide (the threaded plan above, the
+// production tier) and Jit (the same micro-ops compiled to native code).
+// Semantics match the reference interpreter (testing/ref_interpreter.h)
+// by construction and by test: a fused micro-op writes the exact final
+// register values of the sequence it replaces (including clobbered
+// scratch registers) and charges the sequence's full instruction count,
+// so RunResult::insns_executed — the Table 5 overhead metric — is
+// tier-invariant. tests/torture_bpf_diff_test runs the no-facts plan and
+// both tiers over >= 10k fuzzed programs and demands byte-identical
 // results.
 #pragma once
 
@@ -44,12 +48,11 @@ namespace jit {
 class JitCode;
 }  // namespace jit
 
+// The numeric values name the bpf.tier<N>_dispatches counters.
 enum class ExecTier : uint8_t {
-  Interp = 0,    // reference switch interpreter (no plan)
-  Threaded = 1,  // pre-decoded micro-ops, fusion, checked memory accesses
-  Elide = 2,     // Threaded + verifier-guided bounds-check elision
-  Jit = 3,       // Elide micro-ops compiled to native x86-64 (bpf/jit/);
-                 // falls back to Elide when the host cannot JIT
+  Elide = 2,  // threaded micro-ops, fusion, verifier-guided check elision
+  Jit = 3,    // Elide micro-ops compiled to native x86-64 (bpf/jit/);
+              // falls back to Elide when the host cannot JIT
 };
 
 const char* to_string(ExecTier t);
@@ -69,14 +72,7 @@ inline constexpr size_t kJitFallbackKindCount = 5;
 
 const char* to_string(JitFallbackKind k);
 
-// Process-wide default, read once from HERMES_BPF_TIER (0|1|2|3). Unset or
-// unparsable means Elide: verified programs carry their own safety proof,
-// so the fastest always-available tier is the production configuration.
-// Tier 3 is opt-in (it is x86-64-only and mmap-dependent; requesting it
-// where unavailable runs tier 2 and bumps the bpf.jit_fallbacks counter).
-ExecTier default_tier();
-
-// A contiguous byte region the interpreter may touch (runtime checking).
+// A contiguous byte region a plan may touch (runtime checking).
 struct MemRegion {
   uint8_t* base = nullptr;
   size_t size = 0;
@@ -103,14 +99,14 @@ enum UExt : uint16_t {
   UPopcount,             // fused emit_popcount: dst, src, aux as documented
   UBlsr,                 // fused v &= v-1 triplet: dst &= dst-1, src = old-1
   UIsolateLow,           // fused (v & -v) - 1 prologue into dst from src
-  // Unchecked loads/stores (Tier 2, analysis-proven accesses only).
+  // Unchecked loads/stores (analysis-proven accesses only).
   ULdxBNC, ULdxHNC, ULdxWNC, ULdxDWNC,
   UStxBNC, UStxHNC, UStxWNC, UStxDWNC,
   UStBNC, UStHNC, UStWNC, UStDWNC,
   // Helper calls, specialized per id; imm carries the pre-downcast map
   // pointer when the analysis pinned the map slot (0 = resolve at runtime).
-  // The NC variants skip the key/value buffer bounds checks (Tier 2; the
-  // helper signature check proved those buffers in-bounds).
+  // The NC variants skip the key/value buffer bounds checks (the helper
+  // signature check proved those buffers in-bounds).
   UCallLookup, UCallLookupNC,
   UCallUpdate, UCallUpdateNC,
   UCallSelect, UCallSelectNC,
@@ -152,9 +148,9 @@ class ExecutionPlan {
   }
   JitFallbackKind jit_fallback_kind() const { return jit_fallback_kind_; }
 
-  // Run the plan. Register/stack/helper semantics mirror Vm::run exactly;
-  // violations abort (the program was verified — a trip here is a repo
-  // bug, same contract as Tier 0's runtime checks).
+  // Run the plan. Register/stack/helper semantics mirror the kernel
+  // interpreter; violations abort (the program was verified — a trip here
+  // is a repo bug).
   ExecResult execute(ReuseportCtx& ctx,
                      const std::function<uint64_t()>& time_fn,
                      const std::function<uint32_t()>& rand_fn) const;
@@ -164,7 +160,7 @@ class ExecutionPlan {
       const Program& prog, std::span<Map* const> maps,
       const analysis::AnalysisResult* facts, ExecTier tier);
 
-  ExecTier tier_ = ExecTier::Threaded;
+  ExecTier tier_ = ExecTier::Elide;
   std::vector<MicroOp> ops_;
   std::vector<MemRegion> map_regions_;  // array-map stores, hoisted at load
   Stats stats_;
@@ -174,10 +170,9 @@ class ExecutionPlan {
 };
 
 // Compile a verified program into a plan. `facts` (the verifier's
-// AnalysisResult) licenses Tier-2 check elision and helper-map
-// pre-resolution; pass nullptr to compile without facts (all accesses stay
-// checked, helper maps resolve at runtime). Tier Interp returns nullptr —
-// the reference interpreter needs no plan.
+// AnalysisResult) licenses check elision and helper-map pre-resolution;
+// pass nullptr to compile without facts (all accesses stay checked, helper
+// maps resolve at runtime).
 std::unique_ptr<ExecutionPlan> compile_plan(
     const Program& prog, std::span<Map* const> maps,
     const analysis::AnalysisResult* facts, ExecTier tier);

@@ -4,9 +4,9 @@
 // micro-op, no bounds re-check, no per-op decode) with a portable switch
 // fallback. Handler bodies are shared between both modes via the
 // OPC/OPX/NEXT/JUMP macros. Semantics per handler mirror the reference
-// interpreter in vm.cc instruction for instruction; fused handlers
-// reproduce the exact final register state and instruction count of the
-// sequences they replace.
+// interpreter (testing/ref_interpreter.h) instruction for instruction;
+// fused handlers reproduce the exact final register state and instruction
+// count of the sequences they replace.
 #include <cstring>
 
 #include "bpf/jit/jit.h"
@@ -70,8 +70,8 @@ ExecutionPlan::ExecResult ExecutionPlan::execute(
   const MicroOp* ip = base;
 
 // Handler-body plumbing, shared by both dispatch modes. D/S are the dst/src
-// registers of the current micro-op; UIMM/SIMM its immediate as the
-// unsigned/signed flavor vm.cc uses.
+// registers of the current micro-op; UIMM/SIMM its immediate, unsigned and
+// signed.
 #define D regs[ip->dst]
 #define S regs[ip->src]
 #define UIMM static_cast<uint64_t>(ip->imm)

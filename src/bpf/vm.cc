@@ -1,18 +1,6 @@
 #include "bpf/vm.h"
 
-#include <cstring>
-
-#include "util/check.h"
-
 namespace hermes::bpf {
-
-namespace {
-
-bool in_region(const MemRegion& r, const uint8_t* p, size_t n) {
-  return p >= r.base && p + n <= r.base + r.size;
-}
-
-}  // namespace
 
 std::unique_ptr<LoadedProgram> Vm::load(Program prog, std::vector<Map*> maps,
                                         std::string* error) const {
@@ -24,343 +12,28 @@ std::unique_ptr<LoadedProgram> Vm::load(Program prog, std::vector<Map*> maps,
   auto lp = std::unique_ptr<LoadedProgram>(new LoadedProgram);
   lp->prog_ = std::move(prog);
   lp->maps_ = std::move(maps);
-  // Hoist region discovery out of run(): the array-map backing stores are
-  // fixed for the lifetime of the load, so resolve them once here instead
-  // of allocating a region vector per dispatch.
-  for (Map* m : lp->maps_) {
-    if (ArrayMap* am = as_array_map(m)) {
-      lp->map_regions_.push_back({am->storage_base(), am->storage_bytes()});
-    }
-  }
-  lp->tier_ = tier_;
-  if (tier_ != ExecTier::Interp) {
-    lp->plan_ = compile_plan(lp->prog_, lp->maps_, &vr.analysis, tier_);
-    // The plan's tier is authoritative: a Jit request may have compiled
-    // down to Elide (non-x86-64 host, W^X failure, codegen refusal).
-    lp->tier_ = lp->plan_->tier();
-    if (tier_ == ExecTier::Jit && lp->tier_ != ExecTier::Jit) {
-      ++jit_fallbacks_;
-      jit_fallback_reason_ = lp->plan_->jit_fallback_reason();
-      jit_fallback_kind_ = lp->plan_->jit_fallback_kind();
-      ++jit_fallbacks_by_kind_[static_cast<size_t>(jit_fallback_kind_)];
-    }
+  lp->plan_ = compile_plan(lp->prog_, lp->maps_, &vr.analysis, tier_);
+  // The plan's tier is authoritative: a Jit request may have compiled
+  // down to Elide (non-x86-64 host, W^X failure, codegen refusal).
+  if (tier_ == ExecTier::Jit && lp->tier() != ExecTier::Jit) {
+    ++jit_fallbacks_;
+    jit_fallback_reason_ = lp->plan_->jit_fallback_reason();
+    jit_fallback_kind_ = lp->plan_->jit_fallback_kind();
+    ++jit_fallbacks_by_kind_[static_cast<size_t>(jit_fallback_kind_)];
   }
   return lp;
 }
 
 Vm::RunResult Vm::run(const LoadedProgram& lp, ReuseportCtx& ctx) const {
-  if (lp.plan_ != nullptr) {
-    ExecutionPlan::ExecResult er = lp.plan_->execute(ctx, time_fn_, rand_fn_);
-    total_insns_ += er.insns_executed;
-    RunResult res;
-    res.ret = er.ret;
-    res.insns_executed = er.insns_executed;
-    res.tier = lp.tier_;
-    res.fused_hits = er.fused_hits;
-    res.elided_checks = er.elided_checks;
-    return res;
-  }
-  return run_interp(lp, ctx);
-}
-
-Vm::RunResult Vm::run_interp(const LoadedProgram& lp,
-                             ReuseportCtx& ctx) const {
-  alignas(8) uint8_t stack[kStackSize] = {};
-  uint64_t regs[kNumRegs] = {};
-  regs[1] = reinterpret_cast<uint64_t>(&ctx);
-  regs[10] = reinterpret_cast<uint64_t>(stack + kStackSize);
-
-  const Program& prog = lp.insns();
-  std::span<Map* const> maps = lp.maps();
-
-  // Valid memory regions for runtime checking: stack, the readable context
-  // prefix, and every array map's backing store (the latter precomputed at
-  // load time — no allocation on the dispatch path).
-  const MemRegion stack_region{stack, kStackSize};
-  const MemRegion ctx_region{reinterpret_cast<uint8_t*>(&ctx),
-                             kCtxReadableBytes};
-  std::span<const MemRegion> map_regions = lp.map_regions_;
-  auto check_access = [&](uint64_t addr, size_t n) -> uint8_t* {
-    auto* p = reinterpret_cast<uint8_t*>(addr);
-    if (in_region(stack_region, p, n)) return p;
-    if (in_region(ctx_region, p, n)) return p;
-    for (const auto& r : map_regions) {
-      if (in_region(r, p, n)) return p;
-    }
-    HERMES_CHECK_MSG(false, "bpf vm: runtime memory access violation");
-  };
-
+  ExecutionPlan::ExecResult er = lp.plan_->execute(ctx, time_fn_, rand_fn_);
+  total_insns_ += er.insns_executed;
   RunResult res;
-  size_t pc = 0;
-  for (;;) {
-    HERMES_CHECK_MSG(res.insns_executed < kMaxInsnsExecuted,
-                     "bpf vm: instruction budget exceeded");
-    HERMES_CHECK_MSG(pc < prog.size(), "bpf vm: pc out of bounds");
-    const Insn& in = prog[pc];
-    ++res.insns_executed;
-
-    // Both fields are indexed below regardless of op; the verifier's
-    // structural prescan guarantees this for loaded programs.
-    HERMES_CHECK_MSG(in.dst < kNumRegs && in.src < kNumRegs,
-                     "bpf vm: bad register field");
-    uint64_t& dst = regs[in.dst];
-    const uint64_t src = regs[in.src];
-    const auto imm = static_cast<uint64_t>(in.imm);
-    bool jump_taken = false;
-
-    switch (in.op) {
-      case Op::AddReg: dst += src; break;
-      case Op::AddImm: dst += imm; break;
-      case Op::SubReg: dst -= src; break;
-      case Op::SubImm: dst -= imm; break;
-      case Op::MulReg: dst *= src; break;
-      case Op::MulImm: dst *= imm; break;
-      case Op::DivReg: dst = src ? dst / src : 0; break;
-      case Op::DivImm: dst = imm ? dst / imm : 0; break;
-      case Op::ModReg: dst = src ? dst % src : dst; break;
-      case Op::ModImm: dst = imm ? dst % imm : dst; break;
-      case Op::AndReg: dst &= src; break;
-      case Op::AndImm: dst &= imm; break;
-      case Op::OrReg: dst |= src; break;
-      case Op::OrImm: dst |= imm; break;
-      case Op::XorReg: dst ^= src; break;
-      case Op::XorImm: dst ^= imm; break;
-      case Op::LshReg: dst <<= (src & 63); break;
-      case Op::LshImm: dst <<= (imm & 63); break;
-      case Op::RshReg: dst >>= (src & 63); break;
-      case Op::RshImm: dst >>= (imm & 63); break;
-      case Op::ArshReg:
-        dst = static_cast<uint64_t>(static_cast<int64_t>(dst) >> (src & 63));
-        break;
-      case Op::ArshImm:
-        dst = static_cast<uint64_t>(static_cast<int64_t>(dst) >> (imm & 63));
-        break;
-      case Op::Neg: dst = 0 - dst; break;
-      case Op::Add32Reg: dst = static_cast<uint32_t>(dst + src); break;
-      case Op::Add32Imm: dst = static_cast<uint32_t>(dst + imm); break;
-      case Op::Sub32Reg: dst = static_cast<uint32_t>(dst - src); break;
-      case Op::Sub32Imm: dst = static_cast<uint32_t>(dst - imm); break;
-      case Op::Mul32Reg: dst = static_cast<uint32_t>(dst * src); break;
-      case Op::Mul32Imm: dst = static_cast<uint32_t>(dst * imm); break;
-      case Op::Div32Reg:
-        dst = static_cast<uint32_t>(src)
-                  ? static_cast<uint32_t>(dst) / static_cast<uint32_t>(src)
-                  : 0;
-        break;
-      case Op::Div32Imm:
-        dst = static_cast<uint32_t>(imm)
-                  ? static_cast<uint32_t>(dst) / static_cast<uint32_t>(imm)
-                  : 0;
-        break;
-      case Op::Mod32Reg:
-        dst = static_cast<uint32_t>(src)
-                  ? static_cast<uint32_t>(dst) % static_cast<uint32_t>(src)
-                  : static_cast<uint32_t>(dst);
-        break;
-      case Op::Mod32Imm:
-        dst = static_cast<uint32_t>(imm)
-                  ? static_cast<uint32_t>(dst) % static_cast<uint32_t>(imm)
-                  : static_cast<uint32_t>(dst);
-        break;
-      case Op::And32Reg: dst = static_cast<uint32_t>(dst & src); break;
-      case Op::And32Imm: dst = static_cast<uint32_t>(dst & imm); break;
-      case Op::Or32Reg: dst = static_cast<uint32_t>(dst | src); break;
-      case Op::Or32Imm: dst = static_cast<uint32_t>(dst | imm); break;
-      case Op::Xor32Reg: dst = static_cast<uint32_t>(dst ^ src); break;
-      case Op::Xor32Imm: dst = static_cast<uint32_t>(dst ^ imm); break;
-      case Op::Lsh32Reg:
-        dst = static_cast<uint32_t>(static_cast<uint32_t>(dst)
-                                    << (src & 31));
-        break;
-      case Op::Lsh32Imm:
-        dst = static_cast<uint32_t>(static_cast<uint32_t>(dst)
-                                    << (imm & 31));
-        break;
-      case Op::Rsh32Reg:
-        dst = static_cast<uint32_t>(dst) >> (src & 31);
-        break;
-      case Op::Rsh32Imm:
-        dst = static_cast<uint32_t>(dst) >> (imm & 31);
-        break;
-      case Op::Arsh32Reg:
-        dst = static_cast<uint32_t>(
-            static_cast<int32_t>(static_cast<uint32_t>(dst)) >> (src & 31));
-        break;
-      case Op::Arsh32Imm:
-        dst = static_cast<uint32_t>(
-            static_cast<int32_t>(static_cast<uint32_t>(dst)) >> (imm & 31));
-        break;
-      case Op::Neg32:
-        dst = static_cast<uint32_t>(0 - static_cast<uint32_t>(dst));
-        break;
-      case Op::MovReg: dst = src; break;
-      case Op::MovImm: dst = imm; break;
-      case Op::Mov32Reg: dst = static_cast<uint32_t>(src); break;
-      case Op::Mov32Imm: dst = static_cast<uint32_t>(in.imm); break;
-      case Op::LdImm64: dst = imm; break;
-      case Op::LdMapFd:
-        dst = reinterpret_cast<uint64_t>(maps[static_cast<size_t>(in.imm)]);
-        break;
-
-      case Op::LdxB: dst = *check_access(src + in.off, 1); break;
-      case Op::LdxH: {
-        uint16_t v;
-        std::memcpy(&v, check_access(src + in.off, 2), 2);
-        dst = v;
-        break;
-      }
-      case Op::LdxW: {
-        uint32_t v;
-        std::memcpy(&v, check_access(src + in.off, 4), 4);
-        dst = v;
-        break;
-      }
-      case Op::LdxDW: {
-        uint64_t v;
-        std::memcpy(&v, check_access(src + in.off, 8), 8);
-        dst = v;
-        break;
-      }
-      case Op::StxB: {
-        const auto v = static_cast<uint8_t>(src);
-        std::memcpy(check_access(dst + in.off, 1), &v, 1);
-        break;
-      }
-      case Op::StxH: {
-        const auto v = static_cast<uint16_t>(src);
-        std::memcpy(check_access(dst + in.off, 2), &v, 2);
-        break;
-      }
-      case Op::StxW: {
-        const auto v = static_cast<uint32_t>(src);
-        std::memcpy(check_access(dst + in.off, 4), &v, 4);
-        break;
-      }
-      case Op::StxDW:
-        std::memcpy(check_access(dst + in.off, 8), &src, 8);
-        break;
-      case Op::StB: {
-        const auto v = static_cast<uint8_t>(in.imm);
-        std::memcpy(check_access(dst + in.off, 1), &v, 1);
-        break;
-      }
-      case Op::StH: {
-        const auto v = static_cast<uint16_t>(in.imm);
-        std::memcpy(check_access(dst + in.off, 2), &v, 2);
-        break;
-      }
-      case Op::StW: {
-        const auto v = static_cast<uint32_t>(in.imm);
-        std::memcpy(check_access(dst + in.off, 4), &v, 4);
-        break;
-      }
-      case Op::StDW: {
-        const auto v = static_cast<uint64_t>(in.imm);
-        std::memcpy(check_access(dst + in.off, 8), &v, 8);
-        break;
-      }
-
-      case Op::Ja: jump_taken = true; break;
-      case Op::JeqReg: jump_taken = dst == src; break;
-      case Op::JeqImm: jump_taken = dst == imm; break;
-      case Op::JneReg: jump_taken = dst != src; break;
-      case Op::JneImm: jump_taken = dst != imm; break;
-      case Op::JgtReg: jump_taken = dst > src; break;
-      case Op::JgtImm: jump_taken = dst > imm; break;
-      case Op::JgeReg: jump_taken = dst >= src; break;
-      case Op::JgeImm: jump_taken = dst >= imm; break;
-      case Op::JltReg: jump_taken = dst < src; break;
-      case Op::JltImm: jump_taken = dst < imm; break;
-      case Op::JleReg: jump_taken = dst <= src; break;
-      case Op::JleImm: jump_taken = dst <= imm; break;
-      case Op::JsgtReg:
-        jump_taken = static_cast<int64_t>(dst) > static_cast<int64_t>(src);
-        break;
-      case Op::JsgtImm:
-        jump_taken = static_cast<int64_t>(dst) > in.imm;
-        break;
-      case Op::JsgeReg:
-        jump_taken = static_cast<int64_t>(dst) >= static_cast<int64_t>(src);
-        break;
-      case Op::JsgeImm:
-        jump_taken = static_cast<int64_t>(dst) >= in.imm;
-        break;
-      case Op::JsltReg:
-        jump_taken = static_cast<int64_t>(dst) < static_cast<int64_t>(src);
-        break;
-      case Op::JsltImm:
-        jump_taken = static_cast<int64_t>(dst) < in.imm;
-        break;
-      case Op::JsleReg:
-        jump_taken = static_cast<int64_t>(dst) <= static_cast<int64_t>(src);
-        break;
-      case Op::JsleImm:
-        jump_taken = static_cast<int64_t>(dst) <= in.imm;
-        break;
-      case Op::JsetReg: jump_taken = (dst & src) != 0; break;
-      case Op::JsetImm: jump_taken = (dst & imm) != 0; break;
-
-      case Op::Call: {
-        switch (static_cast<HelperId>(in.imm)) {
-          case HelperId::MapLookupElem: {
-            auto* m = reinterpret_cast<Map*>(regs[1]);
-            ArrayMap* am = as_array_map(m);
-            HERMES_CHECK(am != nullptr);
-            uint32_t key;
-            std::memcpy(&key, check_access(regs[2], 4), 4);
-            uint8_t* val = am->lookup(key);
-            regs[0] = reinterpret_cast<uint64_t>(val);
-            break;
-          }
-          case HelperId::MapUpdateElem: {
-            auto* m = reinterpret_cast<Map*>(regs[1]);
-            ArrayMap* am = as_array_map(m);
-            HERMES_CHECK(am != nullptr);
-            uint32_t key;
-            std::memcpy(&key, check_access(regs[2], 4), 4);
-            const uint8_t* val = check_access(regs[3], am->value_size());
-            regs[0] = am->update(key, val) ? 0 : static_cast<uint64_t>(-1);
-            break;
-          }
-          case HelperId::SkSelectReuseport: {
-            auto* rc = reinterpret_cast<ReuseportCtx*>(regs[1]);
-            auto* m = reinterpret_cast<Map*>(regs[2]);
-            ReuseportSockArray* sa = as_sock_array(m);
-            HERMES_CHECK(sa != nullptr);
-            uint32_t key;
-            std::memcpy(&key, check_access(regs[3], 4), 4);
-            const uint64_t cookie = sa->get(key);
-            if (cookie == kNoSocket) {
-              regs[0] = static_cast<uint64_t>(-2);  // -ENOENT
-            } else {
-              rc->selected_socket = cookie;
-              rc->selection_made = true;
-              regs[0] = 0;
-            }
-            break;
-          }
-          case HelperId::KtimeGetNs:
-            regs[0] = time_fn_ ? time_fn_() : 0;
-            break;
-          case HelperId::GetPrandomU32:
-            regs[0] = rand_fn_ ? rand_fn_() : 0;
-            break;
-          default:
-            HERMES_CHECK_MSG(false, "bpf vm: unknown helper at runtime");
-        }
-        break;
-      }
-
-      case Op::Exit:
-        res.ret = regs[0];
-        res.tier = ExecTier::Interp;
-        total_insns_ += res.insns_executed;
-        return res;
-    }
-
-    pc += 1;
-    if (jump_taken) pc += static_cast<size_t>(in.off);
-  }
+  res.ret = er.ret;
+  res.insns_executed = er.insns_executed;
+  res.tier = lp.tier();
+  res.fused_hits = er.fused_hits;
+  res.elided_checks = er.elided_checks;
+  return res;
 }
 
 }  // namespace hermes::bpf

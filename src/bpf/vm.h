@@ -6,10 +6,9 @@
 // Loads/stores are additionally bounds-checked at runtime (defense in depth
 // on top of the verifier; a violation is a bug in this repo, so it aborts).
 //
-// Execution is tiered (see bpf/plan.h): load() verifies once, precomputes
-// the valid memory regions, and — for tiers above Interp — compiles the
-// program into a cached ExecutionPlan. run() then dispatches through the
-// plan when one exists; results are bit-identical across tiers.
+// Execution is tiered (see bpf/plan.h): load() verifies once and compiles
+// the program into a cached ExecutionPlan at the Vm's tier; run() executes
+// that plan. Results are bit-identical across tiers.
 #pragma once
 
 #include <cstdint>
@@ -33,19 +32,14 @@ class LoadedProgram {
   std::span<Map* const> maps() const { return maps_; }
 
   // Tier this program actually executes at — may be Elide when a Jit
-  // request fell back (see Vm::jit_fallback_reason). plan() is null iff
-  // tier is Interp.
-  ExecTier tier() const { return tier_; }
+  // request fell back (see Vm::jit_fallback_reason).
+  ExecTier tier() const { return plan_->tier(); }
   const ExecutionPlan* plan() const { return plan_.get(); }
 
  private:
   friend class Vm;
   Program prog_;
   std::vector<Map*> maps_;
-  // Array-map backing stores, resolved at load time so Tier 0 runs never
-  // allocate or dynamic_cast (stack + ctx regions are per-run locals).
-  std::vector<MemRegion> map_regions_;
-  ExecTier tier_ = ExecTier::Interp;
   std::unique_ptr<ExecutionPlan> plan_;
 };
 
@@ -56,14 +50,12 @@ class Vm {
   using TimeFn = std::function<uint64_t()>;
   using RandFn = std::function<uint32_t()>;
 
-  // A fresh Vm starts at default_tier() (HERMES_BPF_TIER env override,
-  // else Tier 2).
-  Vm() : tier_(default_tier()) {}
   void set_time_fn(TimeFn fn) { time_fn_ = std::move(fn); }
   void set_rand_fn(RandFn fn) { rand_fn_ = std::move(fn); }
 
   // Tier for subsequently loaded programs (already-loaded programs keep
-  // the plan they were compiled with).
+  // the plan they were compiled with). A fresh Vm compiles at Elide, the
+  // production tier; tests and benches pin Jit here.
   ExecTier tier() const { return tier_; }
   void set_tier(ExecTier t) { tier_ = t; }
 
@@ -75,9 +67,9 @@ class Vm {
   struct RunResult {
     uint64_t ret = 0;          // r0 at exit
     uint64_t insns_executed = 0;  // source instructions; tier-invariant
-    ExecTier tier = ExecTier::Interp;  // tier that executed this run
-    uint32_t fused_hits = 0;      // fused micro-ops executed (tier >= 1)
-    uint32_t elided_checks = 0;   // unchecked accesses executed (tier 2)
+    ExecTier tier = ExecTier::Elide;  // tier that executed this run
+    uint32_t fused_hits = 0;      // fused micro-ops executed
+    uint32_t elided_checks = 0;   // unchecked accesses executed
   };
 
   // Run against a reuseport context. The program may call
@@ -103,11 +95,9 @@ class Vm {
   }
 
  private:
-  RunResult run_interp(const LoadedProgram& prog, ReuseportCtx& ctx) const;
-
   TimeFn time_fn_;
   RandFn rand_fn_;
-  ExecTier tier_;
+  ExecTier tier_ = ExecTier::Elide;
   mutable uint64_t total_insns_ = 0;
   mutable uint64_t jit_fallbacks_ = 0;
   mutable std::string jit_fallback_reason_;

@@ -164,26 +164,22 @@ void HermesRuntime::finish_sync(WorkerId self, uint32_t group, SimTime now,
                        res.bitmap, packed);
   }
 
-  // Change suppression (fast path only, DESIGN.md §8): when the bitmap
-  // equals the group's last push and that push is fresher than
-  // sync_refresh_interval, the store — and its Table-5 "syscall" — is
-  // skipped entirely. Checked before the fault hook: a suppressed sync
-  // never reaches the syscall boundary faults model. The interval bound
-  // (strict <) forces a real publish at least once per interval, which
-  // also repairs any divergence between the cache and the map (delayed
-  // stale syncs, racing workers).
-  if (scheduler_.path() == SchedPath::Fast) {
-    const int64_t prev_push =
-        last_push_ns_[group].load(std::memory_order_relaxed);
-    if (prev_push >= 0 &&
-        now.ns() - prev_push <
-            scheduler_.config().sync_refresh_interval.ns() &&
-        last_pushed_bitmap_[group].load(std::memory_order_relaxed) ==
-            res.bitmap) {
-      ++counters_.syncs_suppressed;
-      if (obs_ != nullptr) obs_->metrics.sched_syncs_suppressed->inc(self);
-      return;
-    }
+  // Change suppression (DESIGN.md §8): when the bitmap equals the group's
+  // last push and that push is fresher than sync_refresh_interval, the
+  // store — and its Table-5 "syscall" — is skipped entirely. Checked
+  // before the fault hook: a suppressed sync never reaches the syscall
+  // boundary faults model. The interval bound (strict <) forces a real
+  // publish at least once per interval, which also repairs any divergence
+  // between the cache and the map (delayed stale syncs, racing workers).
+  const int64_t prev_push =
+      last_push_ns_[group].load(std::memory_order_relaxed);
+  if (prev_push >= 0 &&
+      now.ns() - prev_push < scheduler_.config().sync_refresh_interval.ns() &&
+      last_pushed_bitmap_[group].load(std::memory_order_relaxed) ==
+          res.bitmap) {
+    ++counters_.syncs_suppressed;
+    if (obs_ != nullptr) obs_->metrics.sched_syncs_suppressed->inc(self);
+    return;
   }
 
   // Userspace -> kernel decision sync: one atomic 8-byte store into the

@@ -93,7 +93,7 @@ class HermesRuntime {
   // cascade-filter the worker's own group and atomically publish the
   // bitmap to the kernel through M_sel. Returns the filter result;
   // result.published says whether the store actually happened (it is
-  // skipped when the fast path sees an unchanged bitmap within
+  // skipped when the bitmap is unchanged within
   // config.sync_refresh_interval, or when fault injection drops it).
   ScheduleResult schedule_and_sync(WorkerId self, SimTime now);
 

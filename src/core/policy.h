@@ -51,8 +51,8 @@ const char* to_string(PolicyKind kind);
 // Accepts the names used by HERMES_POLICY / simctl --policy:
 // cascade | p2c | weighted | queue_est. Returns false on anything else.
 bool parse_policy(std::string_view name, PolicyKind* out);
-// Process-wide default: HERMES_POLICY env var, else Cascade. Read once
-// (same pattern as default_sched_path); an unknown name aborts loudly.
+// Process-wide default: HERMES_POLICY env var, else Cascade. Read once;
+// an unknown name aborts loudly.
 PolicyKind default_policy();
 
 struct PolicyProgramParams {

@@ -2,32 +2,12 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #endif
 
 namespace hermes::core {
-
-const char* to_string(SchedPath p) {
-  switch (p) {
-    case SchedPath::Reference: return "reference";
-    case SchedPath::Fast: return "fast";
-  }
-  return "?";
-}
-
-SchedPath default_sched_path() {
-  static const SchedPath path = [] {
-    const char* e = std::getenv("HERMES_SCHED_FAST");
-    if (e != nullptr && e[0] == '0' && e[1] == '\0') {
-      return SchedPath::Reference;
-    }
-    return SchedPath::Fast;
-  }();
-  return path;
-}
 
 int64_t theta_permille_of(double theta_ratio) {
   if (!(theta_ratio > 0)) return 0;  // also maps NaN to 0
@@ -38,47 +18,19 @@ int64_t theta_permille_of(double theta_ratio) {
 
 namespace {
 
-// FilterCount (Algo. 1 lines 11-13): keep workers whose metric is below
-// avg + theta, where avg is computed over the *current* candidate set.
+// ---- FilterCount ----------------------------------------------------------
 //
+// FilterCount (Algo. 1 lines 11-13) keeps workers whose metric is below
+// avg + theta, where avg is computed over the *current* candidate set.
 // The comparison is exact fixed-point: with n candidates and metric sum
 // `sum`, "v < avg*(1 + theta)" becomes `v*n*1000 < sum*(1000 + tpm)` and
 // the degenerate all-equal pass rule "v == avg" becomes `v*n == sum` —
-// no division, no doubles, so values above 2^53 cannot be misclassified
-// by rounding. Bounds: |metric| < 2^63, n <= 64, so |v*n*1000| < 2^79 and
+// no doubles, so values above 2^53 cannot be misclassified by rounding.
+// Bounds: |metric| < 2^63, n <= 64, so |v*n*1000| < 2^79 and
 // |sum*(1000+tpm)| < 2^69 * 2^50 = 2^119, both inside __int128.
 //
-// Returns the filtered bitmap; `metric` indexes by absolute worker id.
-template <typename MetricFn>
-WorkerBitmap filter_count(WorkerBitmap candidates, WorkerId base,
-                          uint32_t limit, int64_t theta_permille,
-                          MetricFn&& metric) {
-  const uint32_t n = count_nonzero_bits(candidates);
-  if (n == 0) return 0;
-  __int128 sum = 0;
-  for (uint32_t i = 0; i < limit; ++i) {
-    if (bitmap_test(candidates, i)) {
-      sum += metric(base + i);
-    }
-  }
-  const __int128 rhs = sum * (1000 + theta_permille);
-  WorkerBitmap out = 0;
-  for (uint32_t i = 0; i < limit; ++i) {
-    if (!bitmap_test(candidates, i)) continue;
-    const __int128 vn = static_cast<__int128>(metric(base + i)) * n;
-    // R_i < Avg + theta. When every candidate has the same value, the
-    // strict comparison with theta == 0 would empty the set; treat the
-    // degenerate all-equal case as all-pass (v*n == sum for everyone).
-    if (vn * 1000 < rhs || vn == sum) out = bitmap_set(out, i);
-  }
-  return out;
-}
-
-// ---- Fast path ------------------------------------------------------------
-//
-// The fast path computes the same exact fixed-point predicate, but hoists
-// the per-element 128-bit cross-multiplications out of the loop: with
-// N = n*1000 > 0 and integers v,
+// The per-element 128-bit cross-multiplications are hoisted out of the
+// loop: with N = n*1000 > 0 and integers v,
 //
 //   v*N < sum*(1000 + tpm)   <=>   v <= floor((sum*(1000 + tpm) - 1) / N)
 //   v*n == sum               <=>   N | sum*1000  and  v == sum*1000 / N
@@ -526,12 +478,7 @@ ScheduleResult Scheduler::schedule_with_order(const WorkerStatusTable& wst,
   }
   HERMES_CHECK(limit <= kMaxWorkersPerGroup && base + limit <= wst.num_workers());
 
-  if (path_ == SchedPath::Reference) {
-    return schedule_reference_with_order(wst, now, order, num_stages, base,
-                                         limit);
-  }
-
-  // Fast path: one SoA pass over the slice, then bit-walking filters.
+  // One SoA pass over the slice, then bit-walking filters.
   int64_t enter[kMaxWorkersPerGroup];
   int64_t pending[kMaxWorkersPerGroup];
   int64_t conns[kMaxWorkersPerGroup];
@@ -580,57 +527,6 @@ ScheduleResult Scheduler::schedule_with_order(const WorkerStatusTable& wst,
                      /*sum_ready=*/num_stages > 1 &&
                          order[1] != FilterStage::Time,
                      res);
-}
-
-ScheduleResult Scheduler::schedule_reference_with_order(
-    const WorkerStatusTable& wst, SimTime now, const FilterStage* order,
-    uint32_t num_stages, WorkerId base, uint32_t limit) const {
-  if (limit == 0) {
-    limit = wst.num_workers() - base;
-  }
-  HERMES_CHECK(limit <= kMaxWorkersPerGroup && base + limit <= wst.num_workers());
-
-  // Snapshot the slice once: each metric is an individual atomic read; the
-  // table is read lock-free while writers keep updating (paper §5.3.1).
-  WorkerSnapshot snaps[kMaxWorkersPerGroup];
-  for (uint32_t i = 0; i < limit; ++i) {
-    snaps[i] = wst.read(base + i);
-  }
-
-  const int64_t tpm = theta_permille_of(cfg_.theta_ratio);
-  ScheduleResult res;
-  WorkerBitmap w = limit == 64 ? ~0ull : ((1ull << limit) - 1);
-
-  for (uint32_t s = 0; s < num_stages; ++s) {
-    switch (order[s]) {
-      case FilterStage::Time: {
-        WorkerBitmap out = 0;
-        for (uint32_t i = 0; i < limit; ++i) {
-          if (bitmap_test(w, i) && !is_hung(snaps[i], now)) {
-            out = bitmap_set(out, i);
-          }
-        }
-        w = out;
-        res.after_time = count_nonzero_bits(w);
-        break;
-      }
-      case FilterStage::Connections:
-        w = filter_count(w, base, limit, tpm,
-                         [&](WorkerId id) { return snaps[id - base].connections; });
-        res.after_conn = count_nonzero_bits(w);
-        break;
-      case FilterStage::PendingEvents:
-        w = filter_count(w, base, limit, tpm, [&](WorkerId id) {
-          return snaps[id - base].pending_events;
-        });
-        res.after_event = count_nonzero_bits(w);
-        break;
-    }
-  }
-
-  res.bitmap = w;
-  res.selected = count_nonzero_bits(w);
-  return res;
 }
 
 ScheduleResult Scheduler::schedule_gathered(const int64_t* loop_enter_ns,

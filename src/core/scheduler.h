@@ -12,15 +12,12 @@
 // The filtering ORDER is a design decision the paper justifies; the
 // ablation bench swaps it to show why. theta = theta_ratio * avg (Fig. 15).
 //
-// Two implementations of the same function (DESIGN.md §8):
-//   * the REFERENCE path — per-worker read() snapshots, scalar loops over
-//     all slots; structurally the obviously-correct transcription of
-//     Algo. 1, kept as the differential oracle;
-//   * the FAST path — one SoA gather over the group slice, then branchless
-//     bit-walking (`w &= w - 1`) over surviving candidates only.
-// Both use exact 128-bit fixed-point threshold math (see theta_permille),
-// so their bitmaps are identical bit for bit; tests/sched_fast_test.cc
-// proves it. HERMES_SCHED_FAST=0 pins the reference path process-wide.
+// The implementation (DESIGN.md §8) does one SoA gather over the group
+// slice, then branchless bit-walking (`w &= w - 1`) over surviving
+// candidates only, with exact 128-bit fixed-point threshold math (see
+// theta_permille_of). tests/sched_fast_test.cc proves its bitmaps
+// bit-identical to the scalar transcription of Algo. 1 kept as the
+// differential oracle in testing/sched_reference.h.
 //
 // Single O(n) pass per filter over at most 64 workers; no allocation on the
 // hot path.
@@ -47,19 +44,6 @@ struct ScheduleResult {
   bool published = false;
 };
 
-// Which schedule() implementation runs (both compute the same bitmaps).
-enum class SchedPath : uint8_t {
-  Reference,  // scalar loops over per-worker snapshots (the oracle)
-  Fast,       // SoA gather + branchless bit-walking (the default)
-};
-
-const char* to_string(SchedPath p);
-
-// Process-wide default, read once from HERMES_SCHED_FAST: "0" selects the
-// reference path, anything else (including unset) the fast path — the same
-// pinning scheme as bpf::default_tier()/HERMES_BPF_TIER.
-SchedPath default_sched_path();
-
 // theta_ratio quantized to permille for the exact integer threshold
 // comparison `v*n*1000 < sum*(1000 + theta_permille)`. Clamped to
 // [0, 10^15] so |sum * (1000 + tpm)| < 2^69 * 2^50 stays far inside
@@ -68,17 +52,13 @@ int64_t theta_permille_of(double theta_ratio);
 
 class Scheduler {
  public:
-  explicit Scheduler(HermesConfig cfg)
-      : cfg_(cfg), path_(default_sched_path()) {}
+  explicit Scheduler(HermesConfig cfg) : cfg_(cfg) {}
 
   const HermesConfig& config() const { return cfg_; }
   // Live policy updates (PolicyEndpoint / ops tooling). Safe: the
   // scheduler reads its config afresh on every schedule() call.
   HermesConfig& mutable_config() { return cfg_; }
   void set_theta_ratio(double r) { cfg_.theta_ratio = r; }
-
-  SchedPath path() const { return path_; }
-  void set_path(SchedPath p) { path_ = p; }
 
   // Run Algo. 1 over the first `limit` workers of the WST starting at
   // `base` (group slicing for >64-worker machines); limit <= 64.
@@ -91,16 +71,7 @@ class Scheduler {
                                      uint32_t num_stages, WorkerId base = 0,
                                      uint32_t limit = 0) const;
 
-  // The retained reference implementation, callable regardless of path()
-  // (differential tests, bench). Same semantics as schedule_with_order.
-  ScheduleResult schedule_reference_with_order(const WorkerStatusTable& wst,
-                                               SimTime now,
-                                               const FilterStage* order,
-                                               uint32_t num_stages,
-                                               WorkerId base = 0,
-                                               uint32_t limit = 0) const;
-
-  // Fast-path core over an already-gathered SoA slice (arrays indexed
+  // Filter core over an already-gathered SoA slice (arrays indexed
   // 0..limit-1). Exposed so the two-level variant can gather every group's
   // slots in one WST scan and filter per group from the same arrays.
   ScheduleResult schedule_gathered(const int64_t* loop_enter_ns,
@@ -116,7 +87,6 @@ class Scheduler {
 
  private:
   HermesConfig cfg_;
-  SchedPath path_;
 };
 
 }  // namespace hermes::core

@@ -6,8 +6,8 @@
 // and builds, per request, the exact *wire chain* the proxy forwards to
 // the backend. In zero-copy mode the wire chain references the admitted
 // segments (zero memcpy on the proxy path; header/target views borrow
-// from the retained segments). In oracle mode (HERMES_ZEROCOPY=0) the
-// wire chain deep-copies every byte — the differential reference whose
+// from the retained segments). In oracle mode (Config::zero_copy = false)
+// the wire chain deep-copies every byte — the differential reference whose
 // output streams must be bit-identical to the zero-copy path.
 //
 // The same split applies on egress: a serialized backend response is
@@ -25,9 +25,6 @@
 #include "netsim/iobuf.h"
 
 namespace hermes::http {
-
-// HERMES_ZEROCOPY: unset or "1" → zero-copy; "0" → copy oracle.
-bool zero_copy_enabled_from_env();
 
 class ConnState {
  public:

@@ -83,7 +83,7 @@ class ReuseportGroup {
       const auto run = vm_->run(*prog_, ctx);
       stats_.bpf_insns += run.insns_executed;
       if (metrics_ != nullptr) {
-        metrics_->bpf_tier_dispatches[static_cast<size_t>(run.tier)]->inc(0);
+        tier_dispatches(run.tier)->inc(0);
         if (run.fused_hits != 0) {
           metrics_->bpf_fused_ops->add(0, run.fused_hits);
         }
@@ -143,7 +143,6 @@ class ReuseportGroup {
       return;
     }
 
-    const auto tier = static_cast<size_t>(prog_->tier());
     uint64_t insns = 0;
     uint64_t fused = 0;
     uint64_t elided = 0;
@@ -176,7 +175,7 @@ class ReuseportGroup {
     stats_.bpf_selections += selections;
     stats_.bpf_fallbacks += fallbacks;
     if (metrics_ != nullptr) {
-      metrics_->bpf_tier_dispatches[tier]->add(0, tuples.size());
+      tier_dispatches(prog_->tier())->add(0, tuples.size());
       if (fused != 0) metrics_->bpf_fused_ops->add(0, fused);
       if (elided != 0) metrics_->bpf_elided_checks->add(0, elided);
       if (selections != 0) metrics_->dispatch_bpf->add(0, selections);
@@ -188,6 +187,11 @@ class ReuseportGroup {
   }
 
  private:
+  obs::Counter* tier_dispatches(bpf::ExecTier t) const {
+    return t == bpf::ExecTier::Jit ? metrics_->bpf_jit_dispatches
+                                   : metrics_->bpf_elide_dispatches;
+  }
+
   PortId port_;
   std::vector<ListeningSocket*> sockets_;
   std::unordered_map<uint64_t, ListeningSocket*> by_cookie_;

@@ -222,10 +222,8 @@ PipelineMetrics::PipelineMetrics(Registry& reg, uint32_t workers)
       dispatch_bpf(&reg.counter("dispatch.bpf", 1)),
       dispatch_fallback(&reg.counter("dispatch.fallback", 1)),
       dispatch_hash(&reg.counter("dispatch.hash", 1)),
-      bpf_tier_dispatches{&reg.counter("bpf.tier0_dispatches", 1),
-                          &reg.counter("bpf.tier1_dispatches", 1),
-                          &reg.counter("bpf.tier2_dispatches", 1),
-                          &reg.counter("bpf.tier3_dispatches", 1)},
+      bpf_elide_dispatches(&reg.counter("bpf.tier2_dispatches", 1)),
+      bpf_jit_dispatches(&reg.counter("bpf.tier3_dispatches", 1)),
       bpf_fused_ops(&reg.counter("bpf.fused_ops", 1)),
       bpf_elided_checks(&reg.counter("bpf.elided_checks", 1)),
       bpf_jit_fallbacks(&reg.counter("bpf.jit_fallbacks", 1)),

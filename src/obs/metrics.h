@@ -222,11 +222,11 @@ struct PipelineMetrics {
   Counter* dispatch_hash;       // no program attached (plain reuseport)
 
   // Stage 3 — tiered eBPF execution engine (bpf/plan.h): which tier ran
-  // the dispatch program, and what its plan saved. Tier indexes match
-  // bpf::ExecTier.
-  Counter* bpf_tier_dispatches[4];  // runs per execution tier
-  Counter* bpf_fused_ops;           // superinstructions executed (tier >= 1)
-  Counter* bpf_elided_checks;       // bounds checks proven away (tier >= 2)
+  // the dispatch program, and what its plan saved.
+  Counter* bpf_elide_dispatches;    // runs at tier 2 (Elide)
+  Counter* bpf_jit_dispatches;      // runs at tier 3 (Jit)
+  Counter* bpf_fused_ops;           // superinstructions executed
+  Counter* bpf_elided_checks;       // bounds checks proven away
   Counter* bpf_jit_fallbacks;       // tier-3 loads that fell back to tier 2
   // The fallback total split by cause (bpf::JitFallbackKind), plus the
   // translation validator's verdicts (bpf/jit/validate/) — a nonzero

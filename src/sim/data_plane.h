@@ -11,9 +11,10 @@
 // backend reply and egresses it to the client through the same
 // zero-copy-or-oracle machinery.
 //
-// Both modes (HERMES_ZEROCOPY=1 zero-copy / =0 copy oracle) must produce
-// bit-identical backend and client byte streams; the data plane chains
-// an FNV-1a hash over each direction so benches and tests can assert it.
+// Both modes (Config::zero_copy = true zero-copy / = false copy oracle)
+// must produce bit-identical backend and client byte streams; the data
+// plane chains an FNV-1a hash over each direction so benches and tests
+// can assert it.
 //
 // Disabled by default (Config::enabled=false): every pre-existing bench
 // and test runs byte-identically with the data plane compiled in.
@@ -38,8 +39,7 @@ class DataPlane {
   struct Config {
     bool enabled = false;
     // Splice-style forwarding (references into admitted segments) vs the
-    // copy oracle. Callers usually seed this from HERMES_ZEROCOPY via
-    // http::zero_copy_enabled_from_env().
+    // copy oracle, which tests and benches select in-process.
     bool zero_copy = true;
     uint32_t num_backends = 8;
     core::BackendConnectionPool::Config pool{};

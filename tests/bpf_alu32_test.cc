@@ -1,18 +1,27 @@
 // ALU32 instruction family: low-32-bit operation with zero-extension,
-// swept against host semantics, plus verifier typing rules.
+// swept against host semantics at both execution tiers, plus verifier
+// typing rules.
 #include <gtest/gtest.h>
 
 #include "bpf/assembler.h"
 #include "bpf/vm.h"
+#include "bpf_tiers.h"
 #include "simcore/rng.h"
 
 namespace hermes::bpf {
 namespace {
 
 struct Alu32Case {
+  using Eval = uint64_t (*)(uint64_t, uint64_t);
+  Alu32Case(Op o, const char* n, Eval e) : op(o), name(n), eval(e) {}
+
   Op op;
+  // gtest names each case by dumping the parameter's raw bytes. Spelling
+  // the padding out as zeroed bytes keeps those names the same on every
+  // run; implicit padding would carry whatever was on the stack.
+  uint8_t zero_pad[7] = {};
   const char* name;
-  uint64_t (*eval)(uint64_t, uint64_t);
+  Eval eval;
 };
 
 uint32_t lo(uint64_t v) { return static_cast<uint32_t>(v); }
@@ -27,22 +36,26 @@ TEST_P(Alu32Sweep, MatchesHostSemantics) {
     const uint64_t x = rng.next_u64();
     uint64_t y = rng.next_u64();
     if (i % 4 == 0) y &= 0x1f;
-    Program p = {
+    const Program p = {
         {Op::LdImm64, 1, 0, 0, static_cast<int64_t>(x)},
         {Op::LdImm64, 2, 0, 0, static_cast<int64_t>(y)},
         {Op::MovReg, 0, 1, 0, 0},
         {c.op, 0, 2, 0, 0},
         {Op::Exit},
     };
-    std::string err;
-    auto prog = vm.load(std::move(p), {}, &err);
-    ASSERT_NE(prog, nullptr) << err;
-    ReuseportCtx ctx;
-    const uint64_t got = vm.run(*prog, ctx).ret;
-    const uint64_t want = c.eval(x, y);
-    ASSERT_EQ(got, want) << c.name << " x=" << x << " y=" << y;
-    // Zero-extension property: the upper 32 bits are always clear.
-    ASSERT_EQ(got >> 32, 0u);
+    for (ExecTier tier : kTiers) {
+      vm.set_tier(tier);
+      std::string err;
+      auto prog = vm.load(p, {}, &err);
+      ASSERT_NE(prog, nullptr) << err;
+      ReuseportCtx ctx;
+      const uint64_t got = vm.run(*prog, ctx).ret;
+      const uint64_t want = c.eval(x, y);
+      ASSERT_EQ(got, want)
+          << c.name << " x=" << x << " y=" << y << " " << to_string(tier);
+      // Zero-extension property: the upper 32 bits are always clear.
+      ASSERT_EQ(got >> 32, 0u);
+    }
   }
 }
 
@@ -87,20 +100,21 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Alu32Test, Neg32ZeroExtends) {
-  Vm vm;
   Assembler a;
   a.mov(r0, 5);
   a.neg32(r0);
   a.exit();
-  std::string err;
-  auto prog = vm.load(a.finish(), {}, &err);
-  ASSERT_NE(prog, nullptr) << err;
-  ReuseportCtx ctx;
-  EXPECT_EQ(vm.run(*prog, ctx).ret, 0xfffffffbull);  // not sign-extended
+  const Program p = a.finish();
+  for_each_tier([&](Vm& vm) {
+    std::string err;
+    auto prog = vm.load(p, {}, &err);
+    ASSERT_NE(prog, nullptr) << err;
+    ReuseportCtx ctx;
+    EXPECT_EQ(vm.run(*prog, ctx).ret, 0xfffffffbull);  // not sign-extended
+  });
 }
 
 TEST(Alu32Test, ImmediateFormsWork) {
-  Vm vm;
   Assembler a;
   a.ld_imm64(r0, 0xffffffff00000001ull);
   a.add32(r0, 10);       // -> 11 (upper bits dropped)
@@ -108,11 +122,14 @@ TEST(Alu32Test, ImmediateFormsWork) {
   a.xor32(r0, 0x21);     // -> 0x00
   a.or32(r0, 0x40);      // -> 0x40
   a.exit();
-  std::string err;
-  auto prog = vm.load(a.finish(), {}, &err);
-  ASSERT_NE(prog, nullptr) << err;
-  ReuseportCtx ctx;
-  EXPECT_EQ(vm.run(*prog, ctx).ret, 0x40u);
+  const Program p = a.finish();
+  for_each_tier([&](Vm& vm) {
+    std::string err;
+    auto prog = vm.load(p, {}, &err);
+    ASSERT_NE(prog, nullptr) << err;
+    ReuseportCtx ctx;
+    EXPECT_EQ(vm.run(*prog, ctx).ret, 0x40u);
+  });
 }
 
 TEST(Alu32VerifierTest, Div32ByZeroImmediateRejected) {
@@ -139,24 +156,25 @@ TEST(Alu32VerifierTest, PointerOperandsRejected) {
 TEST(Alu32Test, ReciprocalScale32InBytecode) {
   // reciprocal_scale written with the 32-bit family: (u64)hash * n >> 32,
   // then confirm the result matches the kernel formula for sample inputs.
-  Vm vm;
-  for (const auto& [hash, n, want] :
-       {std::tuple<uint32_t, uint32_t, uint32_t>{0u, 10u, 0u},
-        std::tuple<uint32_t, uint32_t, uint32_t>{0xffffffffu, 10u, 9u},
-        std::tuple<uint32_t, uint32_t, uint32_t>{0x80000000u, 8u, 4u}}) {
-    Assembler a;
-    a.mov32(r1, static_cast<int32_t>(hash));
-    a.mov32(r2, static_cast<int32_t>(n));
-    a.mov(r0, r1);
-    a.mul(r0, r2);  // 64-bit product of two zero-extended 32-bit values
-    a.rsh(r0, 32);
-    a.exit();
-    std::string err;
-    auto prog = vm.load(a.finish(), {}, &err);
-    ASSERT_NE(prog, nullptr) << err;
-    ReuseportCtx ctx;
-    EXPECT_EQ(vm.run(*prog, ctx).ret, want) << hash << " " << n;
-  }
+  for_each_tier([](Vm& vm) {
+    for (const auto& [hash, n, want] :
+         {std::tuple<uint32_t, uint32_t, uint32_t>{0u, 10u, 0u},
+          std::tuple<uint32_t, uint32_t, uint32_t>{0xffffffffu, 10u, 9u},
+          std::tuple<uint32_t, uint32_t, uint32_t>{0x80000000u, 8u, 4u}}) {
+      Assembler a;
+      a.mov32(r1, static_cast<int32_t>(hash));
+      a.mov32(r2, static_cast<int32_t>(n));
+      a.mov(r0, r1);
+      a.mul(r0, r2);  // 64-bit product of two zero-extended 32-bit values
+      a.rsh(r0, 32);
+      a.exit();
+      std::string err;
+      auto prog = vm.load(a.finish(), {}, &err);
+      ASSERT_NE(prog, nullptr) << err;
+      ReuseportCtx ctx;
+      EXPECT_EQ(vm.run(*prog, ctx).ret, want) << hash << " " << n;
+    }
+  });
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // negative guarantee that verifier-rejected programs never reach codegen.
 //
 // Every behavioural test runs differentially: tier 3 must be bit-identical
-// to tiers 0-2 and to the independent reference interpreter. On hosts where
+// to tier 2 and to the independent reference interpreter. On hosts where
 // the JIT is unavailable (non-x86-64, HERMES_BPF_JIT=off) a tier-3 request
 // compiles down to tier 2; the tests then assert the fallback contract
 // instead of skipping.
@@ -21,11 +21,12 @@
 #include "bpf/jit/jit.h"
 #include "bpf/maps.h"
 #include "bpf/plan.h"
-#include "bpf/ref_interpreter.h"
 #include "bpf/vm.h"
+#include "bpf_tiers.h"
 #include "netsim/four_tuple.h"
 #include "netsim/listening_socket.h"
 #include "netsim/reuseport.h"
+#include "testing/ref_interpreter.h"
 
 namespace hermes::bpf {
 namespace {
@@ -50,7 +51,7 @@ Loaded load_at(const Program& p, ExecTier tier, std::vector<Map*> maps = {}) {
   return l;
 }
 
-// Run `p` at every tier and against the reference interpreter; all five
+// Run `p` at every tier and against the reference interpreter; all
 // executions must agree on r0 and the executed-instruction count.
 void expect_all_tiers_agree(const Program& p, uint32_t ctx_hash = 0) {
   ReuseportCtx ref_ctx;
@@ -58,17 +59,16 @@ void expect_all_tiers_agree(const Program& p, uint32_t ctx_hash = 0) {
   const RefResult ref = ref_run(p, {}, ref_ctx);
   ASSERT_FALSE(ref.trapped) << ref.trap;
 
-  for (int t = 0; t <= static_cast<int>(ExecTier::Jit); ++t) {
-    const auto tier = static_cast<ExecTier>(t);
+  for (ExecTier tier : kTiers) {
     auto l = load_at(p, tier);
     ASSERT_NE(l.prog, nullptr);
     EXPECT_EQ(l.prog->tier(), expected_tier(tier));
     ReuseportCtx ctx;
     ctx.hash = ctx_hash;
     const auto run = l.vm.run(*l.prog, ctx);
-    EXPECT_EQ(run.ret, ref.ret) << "tier " << t;
-    EXPECT_EQ(run.insns_executed, ref.insns_executed) << "tier " << t;
-    EXPECT_EQ(run.tier, expected_tier(tier)) << "tier " << t;
+    EXPECT_EQ(run.ret, ref.ret) << to_string(tier);
+    EXPECT_EQ(run.insns_executed, ref.insns_executed) << to_string(tier);
+    EXPECT_EQ(run.tier, expected_tier(tier)) << to_string(tier);
   }
 }
 
@@ -344,7 +344,7 @@ TEST(BpfJit, VerifierRejectedProgramNeverReachesCodegen) {
 
 TEST(BpfJit, CountersAreTierInvariant) {
   // Fused superinstructions and elided checks must be charged identically
-  // by the native code and the threaded interpreters.
+  // by the native code and the threaded plans.
   Assembler a;
   a.ldx_w(r3, r1, 16);       // ctx.hash (elidable)
   a.stx_dw(r10, -8, r3);     // stack spill (elidable)
@@ -355,22 +355,26 @@ TEST(BpfJit, CountersAreTierInvariant) {
   a.exit();
   const Program p = a.finish();
 
-  Vm::RunResult res[4];
-  for (int t = 1; t <= 3; ++t) {
-    auto l = load_at(p, static_cast<ExecTier>(t));
+  // The no-facts plan keeps every check.
+  const auto checked = compile_plan(p, {}, nullptr, ExecTier::Elide);
+  ReuseportCtx checked_ctx;
+  checked_ctx.hash = 5;
+  const auto base = checked->execute(checked_ctx, {}, {});
+  EXPECT_EQ(base.ret, 32u + 5u);
+  EXPECT_EQ(base.fused_hits, 1u);
+  EXPECT_EQ(base.elided_checks, 0u);
+
+  for (ExecTier tier : kTiers) {
+    auto l = load_at(p, tier);
     ReuseportCtx ctx;
     ctx.hash = 5;
-    res[t] = l.vm.run(*l.prog, ctx);
-    EXPECT_EQ(res[t].ret, 32u + 5u) << "tier " << t;
+    const auto res = l.vm.run(*l.prog, ctx);
+    EXPECT_EQ(res.ret, 32u + 5u) << to_string(tier);
+    EXPECT_EQ(res.insns_executed, base.insns_executed) << to_string(tier);
+    EXPECT_EQ(res.fused_hits, 1u) << to_string(tier);
+    // The JIT charges the same elisions as Elide.
+    EXPECT_EQ(res.elided_checks, 3u) << to_string(tier);
   }
-  EXPECT_EQ(res[1].insns_executed, res[2].insns_executed);
-  EXPECT_EQ(res[2].insns_executed, res[3].insns_executed);
-  EXPECT_EQ(res[1].fused_hits, 1u);
-  EXPECT_EQ(res[2].fused_hits, 1u);
-  EXPECT_EQ(res[3].fused_hits, 1u);
-  EXPECT_EQ(res[1].elided_checks, 0u);  // tier 1 keeps every check
-  EXPECT_EQ(res[2].elided_checks, 3u);
-  EXPECT_EQ(res[3].elided_checks, 3u);  // JIT charges the same elisions
 }
 
 }  // namespace

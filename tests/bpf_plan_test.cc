@@ -1,10 +1,11 @@
 // Execution-plan unit tests (src/bpf/plan.h): superinstruction fusion and
-// its boundary conditions, tier selection and the HERMES_BPF_TIER default,
-// instruction-count parity across tiers, Tier-2 check-elision counters,
-// plan reuse across reuseport attach/detach, and batch-vs-scalar socket
-// selection equality. The broad semantic equivalence claim (all tiers
-// byte-identical over >= 10k fuzzed programs) lives in
-// torture_bpf_diff_test; this file pins the plan compiler's structure.
+// its boundary conditions, tier selection, instruction-count parity with
+// the reference interpreter, check elision (with vs without the
+// verifier's facts), plan reuse across reuseport attach/detach, and
+// batch-vs-scalar socket selection equality. The broad semantic
+// equivalence claim (every plan byte-identical to the reference
+// interpreter over >= 10k fuzzed programs) lives in torture_bpf_diff_test;
+// this file pins the plan compiler's structure.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,6 +20,7 @@
 #include "netsim/listening_socket.h"
 #include "netsim/reuseport.h"
 #include "simcore/rng.h"
+#include "testing/ref_interpreter.h"
 
 namespace hermes::bpf {
 namespace {
@@ -55,7 +57,8 @@ struct Loaded {
   std::unique_ptr<LoadedProgram> prog;
 };
 
-Loaded load_at(const Program& p, ExecTier tier, std::vector<Map*> maps = {}) {
+Loaded load_at(const Program& p, ExecTier tier = ExecTier::Elide,
+               std::vector<Map*> maps = {}) {
   Loaded l;
   l.vm.set_tier(tier);
   std::string err;
@@ -71,7 +74,7 @@ TEST(BpfPlan, PopcountSequenceFusesToOneMicroOp) {
   a.exit();
   const Program p = a.finish();
 
-  auto l = load_at(p, ExecTier::Threaded);
+  auto l = load_at(p);
   ASSERT_NE(l.prog->plan(), nullptr);
   const auto& st = l.prog->plan()->stats();
   EXPECT_EQ(st.fused_popcount, 1u);
@@ -96,7 +99,7 @@ TEST(BpfPlan, JumpIntoSegmentBlocksFusionButKeepsSemantics) {
   a.exit();
   const Program p = a.finish();
 
-  auto l = load_at(p, ExecTier::Threaded);
+  auto l = load_at(p);
   ASSERT_NE(l.prog->plan(), nullptr);
   EXPECT_EQ(l.prog->plan()->stats().fused_popcount, 0u);
 
@@ -105,12 +108,12 @@ TEST(BpfPlan, JumpIntoSegmentBlocksFusionButKeepsSemantics) {
   EXPECT_EQ(run.ret, 8u);
   EXPECT_EQ(run.fused_hits, 0u);
 
-  // Tier 0 agrees, including on the instruction count.
-  auto l0 = load_at(p, ExecTier::Interp);
-  ReuseportCtx ctx0;
-  const auto run0 = l0.vm.run(*l0.prog, ctx0);
-  EXPECT_EQ(run0.ret, run.ret);
-  EXPECT_EQ(run0.insns_executed, run.insns_executed);
+  // The reference interpreter agrees, including on the instruction count.
+  ReuseportCtx ref_ctx;
+  const RefResult ref = ref_run(p, {}, ref_ctx);
+  ASSERT_FALSE(ref.trapped) << ref.trap;
+  EXPECT_EQ(ref.ret, run.ret);
+  EXPECT_EQ(ref.insns_executed, run.insns_executed);
 }
 
 TEST(BpfPlan, BlsrNearMissDoesNotFuse) {
@@ -124,7 +127,7 @@ TEST(BpfPlan, BlsrNearMissDoesNotFuse) {
   a.mov(r0, r1);
   a.exit();
 
-  auto l = load_at(a.finish(), ExecTier::Threaded);
+  auto l = load_at(a.finish());
   ASSERT_NE(l.prog->plan(), nullptr);
   EXPECT_EQ(l.prog->plan()->stats().fused_blsr, 0u);
   ReuseportCtx ctx;
@@ -138,25 +141,34 @@ TEST(BpfPlan, InsnCountIsTierInvariantAcrossFusion) {
   a.exit();
   const Program p = a.finish();
 
-  uint64_t ret[3], insns[3];
-  for (int t = 0; t < 3; ++t) {
-    auto l = load_at(p, static_cast<ExecTier>(t));
+  // The reference interpreter executes every source instruction; each
+  // plan runs the fused micro-op, which must charge the same 19.
+  ReuseportCtx ref_ctx;
+  const RefResult ref = ref_run(p, {}, ref_ctx);
+  ASSERT_FALSE(ref.trapped) << ref.trap;
+
+  const auto no_facts = compile_plan(p, {}, nullptr, ExecTier::Elide);
+  ReuseportCtx nf_ctx;
+  const auto nf = no_facts->execute(nf_ctx, {}, {});
+  EXPECT_EQ(nf.ret, ref.ret);
+  EXPECT_EQ(nf.insns_executed, ref.insns_executed);
+  EXPECT_EQ(nf.fused_hits, 1u);
+
+  for (ExecTier tier : {ExecTier::Elide, ExecTier::Jit}) {
+    auto l = load_at(p, tier);
     ReuseportCtx ctx;
     const auto run = l.vm.run(*l.prog, ctx);
-    ret[t] = run.ret;
-    insns[t] = run.insns_executed;
-    EXPECT_EQ(run.tier, static_cast<ExecTier>(t));
-    EXPECT_EQ(run.fused_hits, t == 0 ? 0u : 1u);
+    EXPECT_EQ(run.tier, l.prog->tier());
+    EXPECT_EQ(run.ret, ref.ret) << to_string(tier);
+    EXPECT_EQ(run.insns_executed, ref.insns_executed) << to_string(tier);
+    EXPECT_EQ(run.fused_hits, 1u) << to_string(tier);
   }
-  EXPECT_EQ(ret[0], ret[1]);
-  EXPECT_EQ(ret[0], ret[2]);
-  EXPECT_EQ(insns[0], insns[1]);  // fused op charges the 19 source insns
-  EXPECT_EQ(insns[0], insns[2]);
 }
 
 TEST(BpfPlan, ElisionOnlyAtTier2) {
-  // ctx load + stack store/load: all proven by the verifier, so Tier 2
-  // elides every check while Tier 1 keeps them all.
+  // ctx load + stack store/load: all proven by the verifier, so a plan
+  // compiled with its facts elides every check while the no-facts plan
+  // keeps them all.
   Assembler a;
   a.ldx_w(r0, r1, 16);      // ctx.hash
   a.stx_w(r10, -4, r0);
@@ -164,12 +176,12 @@ TEST(BpfPlan, ElisionOnlyAtTier2) {
   a.exit();
   const Program p = a.finish();
 
-  auto l1 = load_at(p, ExecTier::Threaded);
-  ASSERT_NE(l1.prog->plan(), nullptr);
-  EXPECT_EQ(l1.prog->plan()->stats().elided_sites, 0u);
+  const auto checked = compile_plan(p, {}, nullptr, ExecTier::Elide);
+  EXPECT_EQ(checked->stats().elided_sites, 0u);
+  EXPECT_EQ(checked->stats().checked_sites, 3u);
   ReuseportCtx ctx1;
   ctx1.hash = 0xabcd;
-  const auto run1 = l1.vm.run(*l1.prog, ctx1);
+  const auto run1 = checked->execute(ctx1, {}, {});
   EXPECT_EQ(run1.ret, 0xabcdu);
   EXPECT_EQ(run1.elided_checks, 0u);
 
@@ -185,25 +197,30 @@ TEST(BpfPlan, ElisionOnlyAtTier2) {
 }
 
 TEST(BpfPlan, TierSelectionAndPlanPresence) {
-  // A fresh Vm starts at the process default (HERMES_BPF_TIER, read once);
-  // set_tier overrides per-Vm, and the loaded program records the tier it
-  // was compiled for. Interp carries no plan at all.
+  // A fresh Vm compiles at Elide; set_tier overrides per-Vm, and the
+  // loaded program records the tier it was compiled for. Every load
+  // carries a plan.
   Vm fresh;
-  EXPECT_EQ(fresh.tier(), default_tier());
+  EXPECT_EQ(fresh.tier(), ExecTier::Elide);
 
   Assembler a;
   a.mov(r0, 1);
   a.exit();
   const Program p = a.finish();
 
-  auto li = load_at(p, ExecTier::Interp);
-  EXPECT_EQ(li.prog->tier(), ExecTier::Interp);
-  EXPECT_EQ(li.prog->plan(), nullptr);
+  auto le = load_at(p, ExecTier::Elide);
+  EXPECT_EQ(le.prog->tier(), ExecTier::Elide);
+  ASSERT_NE(le.prog->plan(), nullptr);
+  EXPECT_EQ(le.prog->plan()->tier(), ExecTier::Elide);
+  EXPECT_EQ(le.prog->plan()->jit_code(), nullptr);
 
-  auto lt = load_at(p, ExecTier::Threaded);
-  EXPECT_EQ(lt.prog->tier(), ExecTier::Threaded);
-  ASSERT_NE(lt.prog->plan(), nullptr);
-  EXPECT_EQ(lt.prog->plan()->tier(), ExecTier::Threaded);
+  // Jit lands on Elide only when the host cannot JIT (bpf_jit_test pins
+  // the fallback contract).
+  auto lj = load_at(p, ExecTier::Jit);
+  ASSERT_NE(lj.prog->plan(), nullptr);
+  EXPECT_EQ(lj.prog->tier(), lj.prog->plan()->tier());
+  EXPECT_EQ(lj.prog->tier() == ExecTier::Jit,
+            lj.prog->plan()->jit_code() != nullptr);
 }
 
 TEST(BpfPlan, PlanReusedAcrossAttachDetach) {

@@ -8,6 +8,7 @@
 #include "bpf/assembler.h"
 #include "bpf/maps.h"
 #include "bpf/vm.h"
+#include "bpf_tiers.h"
 
 namespace hermes::bpf {
 namespace {
@@ -41,9 +42,8 @@ TEST_F(SpillTest, SpillAndFillStackPointer) {
   const auto res = verify_prog(a.finish());
   EXPECT_TRUE(res) << res.error;
 
-  // And it runs: the value written through the restored pointer is read.
-  Vm vm;
-  std::string err;
+  // And it runs at every tier: the value written through the restored
+  // pointer is read.
   Assembler b;
   b.mov(r2, r10);
   b.add(r2, -16);
@@ -53,10 +53,14 @@ TEST_F(SpillTest, SpillAndFillStackPointer) {
   b.st_w(r3, 0, 42);
   b.ldx_w(r0, r10, -16);
   b.exit();
-  auto prog = vm.load(b.finish(), maps_, &err);
-  ASSERT_NE(prog, nullptr) << err;
-  ReuseportCtx ctx;
-  EXPECT_EQ(vm.run(*prog, ctx).ret, 42u);
+  const Program p = b.finish();
+  for_each_tier([&](Vm& vm) {
+    std::string err;
+    auto prog = vm.load(p, maps_, &err);
+    ASSERT_NE(prog, nullptr) << err;
+    ReuseportCtx ctx;
+    EXPECT_EQ(vm.run(*prog, ctx).ret, 42u);
+  });
 }
 
 TEST_F(SpillTest, SpilledMapValuePointerUsableAfterFill) {

@@ -1,4 +1,5 @@
-// VM interpreter semantics: ALU ops, memory, jumps, helpers, maps.
+// VM semantics: ALU ops, memory, jumps, helpers, maps. Every case runs at
+// both execution tiers (bpf_tiers.h).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -6,6 +7,7 @@
 #include "bpf/assembler.h"
 #include "bpf/maps.h"
 #include "bpf/vm.h"
+#include "bpf_tiers.h"
 #include "simcore/rng.h"
 
 namespace hermes::bpf {
@@ -13,14 +15,27 @@ namespace {
 
 class VmTest : public ::testing::Test {
  protected:
-  uint64_t run(Assembler& a, std::vector<Map*> maps = {}) {
-    std::string err;
-    auto prog = vm_.load(a.finish(), std::move(maps), &err);
-    EXPECT_NE(prog, nullptr) << err;
-    if (!prog) return ~0ull;
-    ReuseportCtx ctx;
-    ctx.hash = 0xdeadbeef;
-    return vm_.run(*prog, ctx).ret;
+  // Loads and runs the program on vm_ (keeping its helper functions) at
+  // every tier; the tiers must agree, and their common r0 is returned.
+  uint64_t run(Assembler& a, const std::vector<Map*>& maps = {}) {
+    const Program p = a.finish();
+    uint64_t first = ~0ull;
+    for (ExecTier tier : kTiers) {
+      vm_.set_tier(tier);
+      std::string err;
+      auto prog = vm_.load(p, maps, &err);
+      EXPECT_NE(prog, nullptr) << to_string(tier) << ": " << err;
+      if (!prog) return ~0ull;
+      ReuseportCtx ctx;
+      ctx.hash = 0xdeadbeef;
+      const uint64_t ret = vm_.run(*prog, ctx).ret;
+      if (tier == kTiers[0]) {
+        first = ret;
+      } else {
+        EXPECT_EQ(ret, first) << to_string(tier) << " disagrees";
+      }
+    }
+    return first;
   }
 
   Vm vm_;
@@ -160,12 +175,15 @@ TEST_F(VmTest, StackIsZeroedEachRun) {
   Assembler a;
   a.ldx_dw(r0, r10, -64);
   a.exit();
-  std::string err;
-  auto prog = vm_.load(a.finish(), {}, &err);
-  ASSERT_NE(prog, nullptr) << err;
-  ReuseportCtx ctx;
-  EXPECT_EQ(vm_.run(*prog, ctx).ret, 0u);
-  EXPECT_EQ(vm_.run(*prog, ctx).ret, 0u);
+  const Program p = a.finish();
+  for_each_tier([&](Vm& vm) {
+    std::string err;
+    auto prog = vm.load(p, {}, &err);
+    ASSERT_NE(prog, nullptr) << err;
+    ReuseportCtx ctx;
+    EXPECT_EQ(vm.run(*prog, ctx).ret, 0u);
+    EXPECT_EQ(vm.run(*prog, ctx).ret, 0u);
+  });
 }
 
 TEST_F(VmTest, ConditionalJumpsUnsigned) {
@@ -190,11 +208,13 @@ TEST_F(VmTest, ConditionalJumpsSignedViaProgram) {
       {Op::MovImm, 0, 0, 0, 8},
       {Op::Exit},
   };
-  std::string err;
-  auto prog = vm_.load(std::move(p), {}, &err);
-  ASSERT_NE(prog, nullptr) << err;
-  ReuseportCtx ctx;
-  EXPECT_EQ(vm_.run(*prog, ctx).ret, 7u);
+  for_each_tier([&](Vm& vm) {
+    std::string err;
+    auto prog = vm.load(p, {}, &err);
+    ASSERT_NE(prog, nullptr) << err;
+    ReuseportCtx ctx;
+    EXPECT_EQ(vm.run(*prog, ctx).ret, 7u);
+  });
 }
 
 TEST_F(VmTest, JsetTestsBits) {
@@ -268,14 +288,17 @@ TEST_F(VmTest, SkSelectReuseportRecordsCookie) {
   a.call(HelperId::SkSelectReuseport);
   a.exit();  // r0 = helper result (0 on success)
 
-  std::string err;
-  auto prog = vm_.load(a.finish(), {&sel, &socks}, &err);
-  ASSERT_NE(prog, nullptr) << err;
-  ReuseportCtx ctx;
-  const auto res = vm_.run(*prog, ctx);
-  EXPECT_EQ(res.ret, 0u);
-  EXPECT_TRUE(ctx.selection_made);
-  EXPECT_EQ(ctx.selected_socket, 777u);
+  const Program p = a.finish();
+  for_each_tier([&](Vm& vm) {
+    std::string err;
+    auto prog = vm.load(p, {&sel, &socks}, &err);
+    ASSERT_NE(prog, nullptr) << err;
+    ReuseportCtx ctx;
+    const auto res = vm.run(*prog, ctx);
+    EXPECT_EQ(res.ret, 0u);
+    EXPECT_TRUE(ctx.selection_made);
+    EXPECT_EQ(ctx.selected_socket, 777u);
+  });
 }
 
 TEST_F(VmTest, SkSelectReuseportEmptySlotFails) {
@@ -291,13 +314,16 @@ TEST_F(VmTest, SkSelectReuseportEmptySlotFails) {
   a.call(HelperId::SkSelectReuseport);
   a.exit();
 
-  std::string err;
-  auto prog = vm_.load(a.finish(), {&sel, &socks}, &err);
-  ASSERT_NE(prog, nullptr) << err;
-  ReuseportCtx ctx;
-  const auto res = vm_.run(*prog, ctx);
-  EXPECT_NE(res.ret, 0u);
-  EXPECT_FALSE(ctx.selection_made);
+  const Program p = a.finish();
+  for_each_tier([&](Vm& vm) {
+    std::string err;
+    auto prog = vm.load(p, {&sel, &socks}, &err);
+    ASSERT_NE(prog, nullptr) << err;
+    ReuseportCtx ctx;
+    const auto res = vm.run(*prog, ctx);
+    EXPECT_NE(res.ret, 0u);
+    EXPECT_FALSE(ctx.selection_made);
+  });
 }
 
 TEST_F(VmTest, KtimeHelperUsesInjectedClock) {
@@ -309,8 +335,7 @@ TEST_F(VmTest, KtimeHelperUsesInjectedClock) {
 }
 
 TEST_F(VmTest, PrandomHelper) {
-  uint32_t next = 7;
-  vm_.set_rand_fn([&] { return next++; });
+  vm_.set_rand_fn([] { return 7u; });
   Assembler a;
   a.call(HelperId::GetPrandomU32);
   a.exit();
@@ -322,14 +347,17 @@ TEST_F(VmTest, InsnCountingAccumulates) {
   a.mov(r0, 0);
   a.add(r0, 1);
   a.exit();
-  std::string err;
-  auto prog = vm_.load(a.finish(), {}, &err);
-  ASSERT_NE(prog, nullptr);
-  ReuseportCtx ctx;
-  const auto r1_ = vm_.run(*prog, ctx);
-  EXPECT_EQ(r1_.insns_executed, 3u);
-  vm_.run(*prog, ctx);
-  EXPECT_EQ(vm_.total_insns(), 6u);
+  const Program p = a.finish();
+  for_each_tier([&](Vm& vm) {
+    std::string err;
+    auto prog = vm.load(p, {}, &err);
+    ASSERT_NE(prog, nullptr);
+    ReuseportCtx ctx;
+    const auto r1_ = vm.run(*prog, ctx);
+    EXPECT_EQ(r1_.insns_executed, 3u);
+    vm.run(*prog, ctx);
+    EXPECT_EQ(vm.total_insns(), 6u);
+  });
 }
 
 TEST_F(VmTest, MapUpdateHelperWritesArray) {
@@ -355,9 +383,16 @@ TEST_F(VmTest, MapUpdateHelperWritesArray) {
 // Parameterized ALU sweep: random operand pairs, each op checked against
 // the host CPU's semantics.
 struct AluCase {
+  using Eval = uint64_t (*)(uint64_t, uint64_t);
+  AluCase(Op o, const char* n, Eval e) : op(o), name(n), eval(e) {}
+
   Op op;
+  // gtest names each case by dumping the parameter's raw bytes. Spelling
+  // the padding out as zeroed bytes keeps those names the same on every
+  // run; implicit padding would carry whatever was on the stack.
+  uint8_t zero_pad[7] = {};
   const char* name;
-  uint64_t (*eval)(uint64_t, uint64_t);
+  Eval eval;
 };
 
 class VmAluSweep : public ::testing::TestWithParam<AluCase> {};
@@ -370,19 +405,22 @@ TEST_P(VmAluSweep, MatchesHostSemantics) {
     uint64_t x = rng.next_u64();
     uint64_t y = rng.next_u64();
     if (i % 3 == 0) y &= 0xff;  // exercise small operands too
-    Program p = {
+    const Program p = {
         {Op::LdImm64, 1, 0, 0, static_cast<int64_t>(x)},
         {Op::LdImm64, 2, 0, 0, static_cast<int64_t>(y)},
         {Op::MovReg, 0, 1, 0, 0},
         {c.op, 0, 2, 0, 0},
         {Op::Exit},
     };
-    std::string err;
-    auto prog = vm.load(std::move(p), {}, &err);
-    ASSERT_NE(prog, nullptr) << err;
-    ReuseportCtx ctx;
-    ASSERT_EQ(vm.run(*prog, ctx).ret, c.eval(x, y))
-        << c.name << " x=" << x << " y=" << y;
+    for (ExecTier tier : kTiers) {
+      vm.set_tier(tier);
+      std::string err;
+      auto prog = vm.load(p, {}, &err);
+      ASSERT_NE(prog, nullptr) << err;
+      ReuseportCtx ctx;
+      ASSERT_EQ(vm.run(*prog, ctx).ret, c.eval(x, y))
+          << c.name << " x=" << x << " y=" << y << " " << to_string(tier);
+    }
   }
 }
 

@@ -1,11 +1,14 @@
 // The Hermes dispatch program (Algo. 2): verification, differential testing
-// against the C++ reference, fallback behaviour, and group mode.
+// against the C++ reference, fallback behaviour, and group mode. Every run
+// executes at both execution tiers (bpf_tiers.h), which must agree.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 
 #include "bpf/maps.h"
 #include "bpf/vm.h"
+#include "bpf_tiers.h"
 #include "core/bitmap.h"
 #include "core/dispatch_prog.h"
 #include "simcore/rng.h"
@@ -22,22 +25,36 @@ class DispatchProgTest : public ::testing::Test {
     for (uint32_t w = 0; w < num_workers; ++w) {
       ASSERT_TRUE(socks_->update(w, cookie_of(w)));
     }
-    std::string err;
-    prog_ = vm_.load(build_dispatch_program(p), {sel_.get(), socks_.get()},
-                     &err);
-    ASSERT_NE(prog_, nullptr) << err;
+    const bpf::Program prog = build_dispatch_program(p);
+    for (size_t t = 0; t < kNumTiers; ++t) {
+      vms_[t].set_tier(bpf::kTiers[t]);
+      std::string err;
+      progs_[t] = vms_[t].load(prog, {sel_.get(), socks_.get()}, &err);
+      ASSERT_NE(progs_[t], nullptr) << bpf::to_string(bpf::kTiers[t]) << ": " << err;
+    }
   }
 
   static uint64_t cookie_of(WorkerId w) { return 1000 + w; }
 
   void set_bitmap(uint32_t group, uint64_t bm) { sel_->store_u64(group, bm); }
 
-  // Runs the program; returns selected worker or kInvalidWorker on fallback.
+  // Runs the program at every tier; returns the selected worker or
+  // kInvalidWorker on fallback. The tiers must agree.
   WorkerId run(uint32_t hash, uint32_t hash2 = 0) {
+    WorkerId picked[kNumTiers];
+    for (size_t t = 0; t < kNumTiers; ++t) {
+      picked[t] = run_at(t, hash, hash2);
+      EXPECT_EQ(picked[t], picked[0])
+          << bpf::to_string(bpf::kTiers[t]) << " disagrees, hash=" << hash;
+    }
+    return picked[0];
+  }
+
+  WorkerId run_at(size_t t, uint32_t hash, uint32_t hash2) {
     bpf::ReuseportCtx ctx;
     ctx.hash = hash;
     ctx.hash2 = hash2;
-    const auto res = vm_.run(*prog_, ctx);
+    const auto res = vms_[t].run(*progs_[t], ctx);
     if (res.ret == bpf::kRetUseSelection && ctx.selection_made) {
       return static_cast<WorkerId>(ctx.selected_socket - 1000);
     }
@@ -45,11 +62,12 @@ class DispatchProgTest : public ::testing::Test {
     return kInvalidWorker;
   }
 
+  static constexpr size_t kNumTiers = std::size(bpf::kTiers);
   DispatchProgramParams params_;
-  bpf::Vm vm_;
+  bpf::Vm vms_[kNumTiers];
   std::unique_ptr<bpf::ArrayMap> sel_;
   std::unique_ptr<bpf::ReuseportSockArray> socks_;
-  std::unique_ptr<bpf::LoadedProgram> prog_;
+  std::unique_ptr<bpf::LoadedProgram> progs_[kNumTiers];
 };
 
 TEST_F(DispatchProgTest, PassesVerifier) {

@@ -128,22 +128,23 @@ TEST_F(RuntimeTest, StaleBitmapRefreshedByNextSync) {
 }
 
 TEST_F(RuntimeTest, CountersTrackSchedulesAndSyncs) {
-  // Reference path: every sync publishes, even a back-to-back identical one.
-  runtime_.scheduler().set_path(core::SchedPath::Reference);
+  // Two back-to-back syncs of distinct bitmaps: both publish.
   const SimTime now = SimTime::millis(5);
   all_alive(now);
   auto res = runtime_.schedule_and_sync(0, now);
   EXPECT_TRUE(res.published);
+  EXPECT_EQ(res.selected, 4u);
+  runtime_.wst().add_connections(2, 1000);  // over the connection threshold
   res = runtime_.schedule_and_sync(1, now);
   EXPECT_TRUE(res.published);
+  EXPECT_EQ(res.selected, 3u);
   EXPECT_EQ(runtime_.counters().schedules, 2u);
   EXPECT_EQ(runtime_.counters().syncs, 2u);
   EXPECT_EQ(runtime_.counters().syncs_suppressed, 0u);
-  EXPECT_EQ(runtime_.counters().workers_selected_sum, 8u);
+  EXPECT_EQ(runtime_.counters().workers_selected_sum, 7u);
 }
 
 TEST_F(RuntimeTest, FastPathSuppressesUnchangedSyncWithinRefreshInterval) {
-  runtime_.scheduler().set_path(core::SchedPath::Fast);
   const SimTime now = SimTime::millis(5);
   all_alive(now);
   auto res = runtime_.schedule_and_sync(0, now);

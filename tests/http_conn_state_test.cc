@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 namespace hermes::http {
@@ -141,25 +140,6 @@ TEST(ConnState, EgressRespectsMode) {
   EXPECT_EQ(a.fnv1a(), b.fnv1a());
   EXPECT_EQ(zc.stats().forward_bytes_copied, 0u);
   EXPECT_EQ(oracle.stats().forward_bytes_copied, encoded.size());
-}
-
-TEST(ConnState, EnvSelectorParsesHermesZerocopy) {
-  // Never persists: restore whatever was set around this test.
-  const char* old = std::getenv("HERMES_ZEROCOPY");
-  const std::string saved = old ? old : "";
-
-  unsetenv("HERMES_ZEROCOPY");
-  EXPECT_TRUE(zero_copy_enabled_from_env());
-  setenv("HERMES_ZEROCOPY", "1", 1);
-  EXPECT_TRUE(zero_copy_enabled_from_env());
-  setenv("HERMES_ZEROCOPY", "0", 1);
-  EXPECT_FALSE(zero_copy_enabled_from_env());
-
-  if (old != nullptr) {
-    setenv("HERMES_ZEROCOPY", saved.c_str(), 1);
-  } else {
-    unsetenv("HERMES_ZEROCOPY");
-  }
 }
 
 }  // namespace

@@ -1,21 +1,30 @@
-// Scheduling fast path (DESIGN.md §8): the SoA/branchless/fixed-point
-// scheduler against the retained reference implementation.
+// Scheduling fast path (DESIGN.md §8): core::Scheduler against the
+// reference implementation kept in testing/sched_reference.h.
 //
-// The contract is bit-identical bitmaps: both paths implement exact
-// 128-bit fixed-point threshold math, differing only in traversal (scalar
-// loops over per-worker snapshots vs one SoA gather + set-bit walking).
-// The differential sweep here crosses >=10k randomized WST snapshots with
-// all 6 stage orders, theta in {0, 0.1, 0.5} and group limits {1, 2, 63,
-// 64}, mixing metric magnitudes up to ~2^60 so the >2^53 range — where the
-// old double-precision filter misclassified — is covered continuously.
+// The contract is bit-identical bitmaps: both implement exact 128-bit
+// fixed-point threshold math, differing only in traversal (scalar loops
+// over per-worker snapshots vs one SoA gather + set-bit walking). The
+// differential sweep here crosses >=10k randomized WST snapshots with all
+// 6 stage orders, theta in {0, 0.1, 0.5} and group limits {1, 2, 63, 64},
+// mixing metric magnitudes up to ~2^60 in half the snapshots so the >2^53
+// range — where the old double-precision filter misclassified — stays
+// covered, and small counts only in the other half, where theta decides
+// verdicts. A
+// second sweep drives the two-level variant (one WST scan for every group,
+// HermesRuntime::schedule_all_groups) at 128 and 192 workers and checks
+// each group against the reference on that group's slice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "core/hermes.h"
 #include "core/scheduler.h"
 #include "core/wst.h"
 #include "simcore/rng.h"
 #include "test_util.h"
+#include "testing/sched_reference.h"
 
 namespace hermes {
 namespace {
@@ -23,7 +32,6 @@ namespace {
 using core::FilterStage;
 using core::ScheduleResult;
 using core::Scheduler;
-using core::SchedPath;
 using core::WorkerStatusTable;
 
 // All 6 permutations of the three cascade stages.
@@ -39,8 +47,12 @@ constexpr double kThetas[] = {0.0, 0.1, 0.5};
 constexpr uint32_t kLimits[] = {1, 2, 63, 64};
 
 // A metric value of varied magnitude: mostly small counts, sometimes huge
-// (beyond 2^53, where double rounding is lossy).
-int64_t random_metric(sim::Rng& rng) {
+// (beyond 2^53, where double rounding is lossy). Snapshots draw either
+// from the full mix (`huge`) or from small counts only: once a ~2^60 value
+// is in the candidate set it dominates the average, so theta could not
+// change a verdict and the theta axis would go untested.
+int64_t random_metric(sim::Rng& rng, bool huge) {
+  if (!huge) return static_cast<int64_t>(rng.next_below(1000));
   switch (rng.next_below(4)) {
     case 0: return 0;
     case 1: return static_cast<int64_t>(rng.next_below(1000));
@@ -48,6 +60,16 @@ int64_t random_metric(sim::Rng& rng) {
     default:
       return (int64_t{1} << 60) + static_cast<int64_t>(rng.next_below(8));
   }
+}
+
+// The scheduler's result and the reference's, in that order, for the
+// whole table in the configured stage order.
+std::vector<ScheduleResult> schedule_both(const core::HermesConfig& cfg,
+                                          const WorkerStatusTable& wst,
+                                          SimTime now) {
+  return {Scheduler(cfg).schedule(wst, now),
+          core::schedule_reference_with_order(cfg, wst, now, cfg.stage_order,
+                                              cfg.num_stages)};
 }
 
 TEST(SchedFastDifferentialTest, FastMatchesReferenceBitForBit) {
@@ -59,6 +81,7 @@ TEST(SchedFastDifferentialTest, FastMatchesReferenceBitForBit) {
     auto buf = testing::wst_buffer(limit);
     for (int iter = 0; iter < 2500; ++iter) {
       auto wst = WorkerStatusTable::init(buf.data(), limit);
+      const bool huge = rng.bernoulli(0.5);
       for (WorkerId w = 0; w < limit; ++w) {
         // Heartbeats spread across [now - 100ms, now]: both sides of the
         // 50 ms hang threshold, plus never-started workers.
@@ -68,8 +91,8 @@ TEST(SchedFastDifferentialTest, FastMatchesReferenceBitForBit) {
           wst.update_avail(
               w, now - SimTime::millis(static_cast<int64_t>(rng.next_below(100))));
         }
-        wst.add_connections(w, random_metric(rng));
-        wst.add_pending(w, random_metric(rng));
+        wst.add_connections(w, random_metric(rng, huge));
+        wst.add_pending(w, random_metric(rng, huge));
       }
       ++snapshots;
 
@@ -78,11 +101,10 @@ TEST(SchedFastDifferentialTest, FastMatchesReferenceBitForBit) {
           core::HermesConfig cfg;
           cfg.theta_ratio = theta;
           Scheduler sched(cfg);
-          sched.set_path(SchedPath::Fast);
           const ScheduleResult fast =
               sched.schedule_with_order(wst, now, order, 3, 0, limit);
-          const ScheduleResult ref = sched.schedule_reference_with_order(
-              wst, now, order, 3, 0, limit);
+          const ScheduleResult ref = core::schedule_reference_with_order(
+              cfg, wst, now, order, 3, 0, limit);
           ASSERT_EQ(fast.bitmap, ref.bitmap)
               << "limit=" << limit << " theta=" << theta << " iter=" << iter;
           ASSERT_EQ(fast.after_time, ref.after_time);
@@ -94,6 +116,66 @@ TEST(SchedFastDifferentialTest, FastMatchesReferenceBitForBit) {
     }
   }
   EXPECT_GE(snapshots, 10000u);
+}
+
+// The two-level variant: one gather over the whole table, then every
+// group filtered from its slice of the shared SoA arrays
+// (Scheduler::schedule_gathered). Each group's result must equal the
+// reference run on that group's slice alone.
+TEST(SchedFastDifferentialTest, AllGroupsMatchReferencePerGroup) {
+  sim::Rng rng(0x2b1e7e1);
+  const SimTime now = SimTime::seconds(100);
+  uint64_t groups_checked = 0;
+
+  for (uint32_t workers : {128u, 192u}) {
+    core::HermesRuntime::Options opts;
+    opts.num_workers = workers;
+    core::HermesRuntime rt(opts);
+    WorkerStatusTable& wst = rt.wst();
+    const uint32_t wpg = rt.workers_per_group();
+    ASSERT_GT(rt.num_groups(), 1u);
+    std::vector<ScheduleResult> out(rt.num_groups());
+
+    for (int iter = 0; iter < 200; ++iter) {
+      // Same snapshot distribution as the single-group sweep, written as
+      // deltas onto the runtime's own table.
+      const bool huge = rng.bernoulli(0.5);
+      for (WorkerId w = 0; w < workers; ++w) {
+        const core::WorkerSnapshot cur = wst.read(w);
+        wst.update_avail(
+            w, rng.bernoulli(0.1)
+                   ? SimTime::zero()
+                   : now - SimTime::millis(
+                               static_cast<int64_t>(rng.next_below(100))));
+        wst.add_connections(w, random_metric(rng, huge) - cur.connections);
+        wst.add_pending(w, random_metric(rng, huge) - cur.pending_events);
+      }
+
+      for (const auto& order : kOrders) {
+        for (double theta : kThetas) {
+          core::HermesConfig& cfg = rt.scheduler().mutable_config();
+          cfg.theta_ratio = theta;
+          std::copy(order, order + 3, cfg.stage_order);
+          rt.schedule_all_groups(0, now, out.data());
+          for (uint32_t g = 0; g < rt.num_groups(); ++g) {
+            const WorkerId base = g * wpg;
+            const uint32_t limit = std::min(wpg, workers - base);
+            const ScheduleResult ref = core::schedule_reference_with_order(
+                cfg, wst, now, order, 3, base, limit);
+            ASSERT_EQ(out[g].bitmap, ref.bitmap)
+                << "workers=" << workers << " group=" << g
+                << " theta=" << theta << " iter=" << iter;
+            ASSERT_EQ(out[g].after_time, ref.after_time);
+            ASSERT_EQ(out[g].after_conn, ref.after_conn);
+            ASSERT_EQ(out[g].after_event, ref.after_event);
+            ASSERT_EQ(out[g].selected, ref.selected);
+            ++groups_checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(groups_checked, 200u * 18u * (2u + 3u));
 }
 
 // Regression for the latent double-rounding bug the fixed-point rewrite
@@ -116,15 +198,12 @@ TEST(SchedFastDifferentialTest, Above2Pow53OverThresholdWorkerIsFiltered) {
 
   core::HermesConfig cfg;
   cfg.theta_ratio = 0.0;
-  Scheduler sched(cfg);
-  for (SchedPath p : {SchedPath::Fast, SchedPath::Reference}) {
-    sched.set_path(p);
-    const ScheduleResult res = sched.schedule(wst, now);
-    EXPECT_TRUE(core::bitmap_test(res.bitmap, 0)) << to_string(p);
-    EXPECT_TRUE(core::bitmap_test(res.bitmap, 1)) << to_string(p);
+  for (const ScheduleResult& res : schedule_both(cfg, wst, now)) {
+    EXPECT_TRUE(core::bitmap_test(res.bitmap, 0));
+    EXPECT_TRUE(core::bitmap_test(res.bitmap, 1));
     EXPECT_FALSE(core::bitmap_test(res.bitmap, 2))
-        << to_string(p) << ": over-threshold worker passed via rounding";
-    EXPECT_EQ(res.selected, 2u) << to_string(p);
+        << "over-threshold worker passed via rounding";
+    EXPECT_EQ(res.selected, 2u);
   }
 }
 
@@ -142,11 +221,8 @@ TEST(SchedFastDifferentialTest, AllEqualHugeMetricsKeepEveryone) {
   }
   core::HermesConfig cfg;
   cfg.theta_ratio = 0.0;
-  Scheduler sched(cfg);
-  for (SchedPath p : {SchedPath::Fast, SchedPath::Reference}) {
-    sched.set_path(p);
-    const ScheduleResult res = sched.schedule(wst, now);
-    EXPECT_EQ(res.selected, kWorkers) << to_string(p);
+  for (const ScheduleResult& res : schedule_both(cfg, wst, now)) {
+    EXPECT_EQ(res.selected, kWorkers);
   }
 }
 

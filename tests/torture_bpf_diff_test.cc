@@ -1,30 +1,34 @@
-// Torture: differential fuzzing of verifier + VM + reference interpreter.
+// Torture: differential fuzzing of verifier + execution plans + reference
+// interpreter.
 //
 // Seeded random programs from testing::gen_program go through the verifier
-// (via Vm::load). Accepted programs run twice against identically
-// initialized state: once under bpf::Vm, once under the independent
-// reference interpreter (bpf/ref_interpreter.h), with
-// deterministic counter-based time/rand helpers. The contract:
+// (via Vm::load). Accepted programs run against identically initialized
+// state under every compiled form and under the independent reference
+// interpreter (testing/ref_interpreter.h), with deterministic
+// counter-based time/rand helpers. The contract:
 //
 //   * a verifier-ACCEPTED program NEVER traps in the reference interpreter
 //     (no bad memory access, no bad helper call, no budget blowout) — that
 //     is the verifier's entire soundness claim, checked dynamically;
-//   * both implementations agree on r0, instruction count, reuseport
-//     selection side effects, and final map contents — any divergence is a
-//     bug in one of the three components, pinned by the failing seed.
+//   * every compiled form and the reference agree on r0, instruction
+//     count, reuseport selection side effects, and final map contents —
+//     any divergence is a bug in one of the components, pinned by the
+//     failing seed.
 //
-// Every accepted program runs under ALL execution tiers (bpf/plan.h):
-// tier 0 (reference switch interpreter), tier 1 (pre-decoded threaded
-// plan with superinstruction fusion), tier 2 (threaded + verifier-guided
-// check elision), tier 3 (native x86-64 JIT over the tier-2 micro-ops).
-// Each tier gets an identically initialized world and must match the
+// The compiled forms ("legs") are:
+//   * the no-facts plan — compile_plan without the verifier's facts, so
+//     every memory access and helper call keeps its checked micro-op;
+//   * Elide (tier 2) — the production plan, with verifier-guided check
+//     elision;
+//   * Jit (tier 3) — native x86-64 code over the Elide micro-ops.
+// Each leg gets its own identically initialized world and must match the
 // reference interpreter byte-for-byte — including insns_executed, which
 // fused micro-ops must keep tier-invariant.
 //
 // On hosts that cannot JIT (non-x86-64, or HERMES_BPF_JIT=off), a tier-3
-// request legitimately executes at tier 2 — the sweep still runs all four
-// requested tiers and asserts the documented fallback, so this test is
-// meaningful on every architecture.
+// request legitimately executes at tier 2 — the sweep still runs every
+// leg and asserts the documented fallback, so this test is meaningful on
+// every architecture.
 //
 // One run covers >= 10,000 generated programs.
 // Tier-3 loads additionally run under the translation validator
@@ -45,19 +49,20 @@
 #include "bpf/jit/jit.h"
 #include "bpf/jit/validate/validate.h"
 #include "bpf/maps.h"
-#include "bpf/ref_interpreter.h"
+#include "bpf/plan.h"
 #include "bpf/vm.h"
+#include "bpf_tiers.h"
 #include "core/dispatch_prog.h"
 #include "core/policy.h"
 #include "simcore/rng.h"
 #include "testing/fuzz_gen.h"
+#include "testing/ref_interpreter.h"
 
 namespace hermes::bpf {
 namespace {
 
 constexpr uint64_t kSeedBase = 0x5eedULL << 32;
 constexpr int kNumPrograms = 10'000;
-constexpr int kNumTiers = 4;
 
 // The tier a load requested at `requested` actually executes at on this
 // host (bpf/plan.h: Jit falls back to Elide when unavailable).
@@ -67,6 +72,52 @@ ExecTier expected_tier(ExecTier requested) {
   }
   return requested;
 }
+
+// One compiled form under test: leg 0 is the no-facts plan, legs 1.. are a
+// Vm pinned to each selectable tier (kTiers).
+constexpr int kNumLegs = 1 + static_cast<int>(std::size(kTiers));
+
+std::string leg_name(int leg) {
+  return leg == 0 ? "no-facts plan" : to_string(kTiers[leg - 1]);
+}
+
+class Leg {
+ public:
+  // Compiles a verifier-accepted `prog` for leg `leg`. Returns false (with
+  // `err`) if the Vm's own verification rejects it.
+  bool load(int leg, const Program& prog, std::vector<Map*> maps,
+            std::string* err) {
+    if (leg == 0) {
+      no_facts_ = compile_plan(prog, maps, /*facts=*/nullptr, ExecTier::Elide);
+      return true;
+    }
+    vm_.set_tier(kTiers[leg - 1]);
+    loaded_ = vm_.load(prog, std::move(maps), err);
+    return loaded_ != nullptr;
+  }
+
+  // The tier this leg requested (Elide for the no-facts plan) and the tier
+  // it actually runs at.
+  ExecTier requested() const { return vm_.tier(); }
+  ExecTier tier() const {
+    return no_facts_ != nullptr ? no_facts_->tier() : loaded_->tier();
+  }
+
+  ExecutionPlan::ExecResult run(ReuseportCtx& ctx,
+                                const Vm::TimeFn& time_fn = {},
+                                const Vm::RandFn& rand_fn = {}) {
+    if (no_facts_ != nullptr) return no_facts_->execute(ctx, time_fn, rand_fn);
+    vm_.set_time_fn(time_fn);
+    vm_.set_rand_fn(rand_fn);
+    const Vm::RunResult r = vm_.run(*loaded_, ctx);
+    return {r.ret, r.insns_executed, r.fused_hits, r.elided_checks};
+  }
+
+ private:
+  std::unique_ptr<ExecutionPlan> no_facts_;
+  Vm vm_;
+  std::unique_ptr<LoadedProgram> loaded_;
+};
 
 constexpr testing::GenOptions kGen{};  // defaults: 2-entry array, 8 socks
 
@@ -192,54 +243,49 @@ TEST(TortureBpfDiff, TenThousandProgramsNoTrapNoDivergence) {
         << ref.trap_pc << " (seed=" << seed << ")\n"
         << disassemble(prog);
 
-    // Every execution tier runs against its own identically initialized
-    // world and must match the reference byte-for-byte.
-    for (int t = 0; t < kNumTiers; ++t) {
-      const auto tier = static_cast<ExecTier>(t);
+    // Every leg runs against its own identically initialized world and
+    // must match the reference byte-for-byte.
+    for (int leg = 0; leg < kNumLegs; ++leg) {
       sim::Rng world_rng(seed ^ 0xabcdef);
       World vm_world(world_rng);
-      Vm vm;
-      vm.set_tier(tier);
+      Leg exec;
       std::string err;
-      auto loaded =
-          vm.load(prog, {&vm_world.array, &vm_world.socks}, &err);
-      ASSERT_NE(loaded, nullptr)
-          << "tier " << t << " rejected a program tier-independent "
+      ASSERT_TRUE(exec.load(leg, prog, {&vm_world.array, &vm_world.socks},
+                            &err))
+          << leg_name(leg) << " rejected a program tier-independent "
           << "verification accepted (seed=" << seed << "): " << err;
 
       uint64_t vm_t = 0, vm_r = 0;
-      vm.set_time_fn(counter_time(vm_t));
-      vm.set_rand_fn(counter_rand(vm_r));
       ReuseportCtx vm_ctx = ctx0;
-      const Vm::RunResult got = vm.run(*loaded, vm_ctx);
+      const ExecutionPlan::ExecResult got =
+          exec.run(vm_ctx, counter_time(vm_t), counter_rand(vm_r));
 
-      ASSERT_EQ(got.tier, expected_tier(tier));
+      ASSERT_EQ(exec.tier(), expected_tier(exec.requested()));
       ASSERT_EQ(got.ret, ref.ret)
-          << "r0 divergence at tier " << t << " (seed=" << seed << ")\n"
+          << "r0 divergence at " << leg_name(leg) << " (seed=" << seed
+          << ")\n"
           << disassemble(prog);
       ASSERT_EQ(got.insns_executed, ref.insns_executed)
-          << "instruction-count divergence at tier " << t
+          << "instruction-count divergence at " << leg_name(leg)
           << " (seed=" << seed << ")\n"
           << disassemble(prog);
       ASSERT_EQ(vm_ctx.selection_made, ref_ctx.selection_made)
-          << "selection divergence at tier " << t << " (seed=" << seed
+          << "selection divergence at " << leg_name(leg) << " (seed=" << seed
           << ")";
       ASSERT_EQ(vm_ctx.selected_socket, ref_ctx.selected_socket)
-          << "selected-socket divergence at tier " << t << " (seed=" << seed
-          << ")";
+          << "selected-socket divergence at " << leg_name(leg)
+          << " (seed=" << seed << ")";
       ASSERT_EQ(std::memcmp(vm_world.array.storage_base(),
                             ref_world.array.storage_base(),
                             vm_world.array.storage_bytes()),
                 0)
-          << "final map-content divergence at tier " << t
+          << "final map-content divergence at " << leg_name(leg)
           << " (seed=" << seed << ")\n"
           << disassemble(prog);
-      // Counter discipline: the reference tier reports no plan activity;
-      // check elision is a tier >= 2 privilege.
-      if (t == 0) ASSERT_EQ(got.fused_hits, 0u);
-      if (t <= 1) {
+      // Counter discipline: check elision needs the verifier's facts.
+      if (leg == 0) {
         ASSERT_EQ(got.elided_checks, 0u)
-            << "tier " << t << " elided a check (seed=" << seed << ")";
+            << "the no-facts plan elided a check (seed=" << seed << ")";
       }
     }
   }
@@ -304,20 +350,17 @@ TEST(TortureBpfDiff, DispatchProgramAgreesWithReferenceInterpreter) {
     for (uint32_t w = 0; w < n_socks; ++w) socks.update(w, 1000 + w);
 
     const Program prog = core::build_dispatch_program(params);
-    // One Vm per execution tier, all bound to the same (read-only) maps:
-    // the dispatch program never writes map state, so the tiers share it.
-    Vm vms[kNumTiers];
-    std::unique_ptr<LoadedProgram> loaded[kNumTiers];
-    for (int t = 0; t < kNumTiers; ++t) {
-      vms[t].set_tier(static_cast<ExecTier>(t));
+    // One leg per compiled form, all bound to the same (read-only) maps:
+    // the dispatch program never writes map state, so the legs share it.
+    Leg legs[kNumLegs];
+    for (int leg = 0; leg < kNumLegs; ++leg) {
       std::string err;
-      loaded[t] = vms[t].load(prog, {&sel, &socks}, &err);
-      ASSERT_NE(loaded[t], nullptr)
-          << "geometry " << g.groups << "x" << g.workers_per_group
-          << " tier " << t << ": " << err;
-      ASSERT_EQ(loaded[t]->tier(), expected_tier(static_cast<ExecTier>(t)))
-          << "geometry " << g.groups << "x" << g.workers_per_group
-          << " tier " << t;
+      ASSERT_TRUE(legs[leg].load(leg, prog, {&sel, &socks}, &err))
+          << "geometry " << g.groups << "x" << g.workers_per_group << " "
+          << leg_name(leg) << ": " << err;
+      ASSERT_EQ(legs[leg].tier(), expected_tier(legs[leg].requested()))
+          << "geometry " << g.groups << "x" << g.workers_per_group << " "
+          << leg_name(leg);
     }
 
     sim::Rng rng(7 + g.groups * 131 + g.workers_per_group);
@@ -331,14 +374,14 @@ TEST(TortureBpfDiff, DispatchProgramAgreesWithReferenceInterpreter) {
 
       const RefResult ref = ref_run(prog, maps, ref_ctx);
       ASSERT_FALSE(ref.trapped) << ref.trap << " at pc " << ref.trap_pc;
-      for (int t = 0; t < kNumTiers; ++t) {
+      for (int leg = 0; leg < kNumLegs; ++leg) {
         ReuseportCtx ctx = ctx0;
-        const Vm::RunResult got = vms[t].run(*loaded[t], ctx);
+        const ExecutionPlan::ExecResult got = legs[leg].run(ctx);
 
         const auto where = [&] {
           return ::testing::Message()
                  << "geometry " << g.groups << "x" << g.workers_per_group
-                 << " iteration " << i << " tier " << t;
+                 << " iteration " << i << " " << leg_name(leg);
         };
         ASSERT_EQ(got.ret, ref.ret) << where();
         ASSERT_EQ(got.insns_executed, ref.insns_executed) << where();
@@ -352,9 +395,9 @@ TEST(TortureBpfDiff, DispatchProgramAgreesWithReferenceInterpreter) {
 // Every scheduling policy's generated dispatch program (core/policy.h),
 // differentially checked the same way — with two policy-specific twists:
 //
-//   * each tier gets PRIVATE maps. queue_est's program WRITES its aux map
-//     (the per-dispatch estimate increment), so tiers sharing storage
-//     would contaminate each other; instead every tier's final aux bytes
+//   * each leg gets PRIVATE maps. queue_est's program WRITES its aux map
+//     (the per-dispatch estimate increment), so legs sharing storage
+//     would contaminate each other; instead every leg's final aux bytes
 //     must match the reference interpreter's byte-for-byte;
 //   * the policy's C++ mirror (reference_dispatch, which mutates its own
 //     plain-memory aux copy) must agree with the program on both the
@@ -392,7 +435,7 @@ TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
       const Program prog = policy->build_program(pp);
       const uint32_t aux_bytes = policy->aux_value_bytes();
 
-      // One private world per tier + one for the reference interpreter.
+      // One private world per leg + one for the reference interpreter.
       struct PolicyWorld {
         std::unique_ptr<ArrayMap> sel;
         std::unique_ptr<ReuseportSockArray> socks;
@@ -412,17 +455,14 @@ TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
         return w;
       };
       PolicyWorld ref_world = make_world();
-      PolicyWorld tier_worlds[kNumTiers];
-      Vm vms[kNumTiers];
-      std::unique_ptr<LoadedProgram> loaded[kNumTiers];
-      for (int t = 0; t < kNumTiers; ++t) {
-        tier_worlds[t] = make_world();
-        vms[t].set_tier(static_cast<ExecTier>(t));
+      PolicyWorld leg_worlds[kNumLegs];
+      Leg legs[kNumLegs];
+      for (int leg = 0; leg < kNumLegs; ++leg) {
+        leg_worlds[leg] = make_world();
         std::string err;
-        loaded[t] = vms[t].load(prog, tier_worlds[t].maps, &err);
-        ASSERT_NE(loaded[t], nullptr)
+        ASSERT_TRUE(legs[leg].load(leg, prog, leg_worlds[leg].maps, &err))
             << policy->name() << " " << g.groups << "x"
-            << g.workers_per_group << " tier " << t << ": " << err;
+            << g.workers_per_group << " " << leg_name(leg) << ": " << err;
       }
 
       // The C++ mirror's aux copy (plain memory, same per-group stride as
@@ -439,9 +479,7 @@ TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
         for (uint32_t gr = 0; gr < g.groups; ++gr) {
           bitmaps[gr] = rng.next_u64() & bitmap_mask;
           ref_world.sel->store_u64(gr, bitmaps[gr]);
-          for (int t = 0; t < kNumTiers; ++t) {
-            tier_worlds[t].sel->store_u64(gr, bitmaps[gr]);
-          }
+          for (PolicyWorld& w : leg_worlds) w.sel->store_u64(gr, bitmaps[gr]);
         }
         if (aux_bytes > 0 && i % 4 == 0) {
           for (uint32_t gr = 0; gr < g.groups; ++gr) {
@@ -462,9 +500,7 @@ TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
             policy->fill_aux(in, words);
             std::memcpy(mirror_aux.data() + gr * stride, words, aux_bytes);
             ref_world.aux->update(gr, words);
-            for (int t = 0; t < kNumTiers; ++t) {
-              tier_worlds[t].aux->update(gr, words);
-            }
+            for (PolicyWorld& w : leg_worlds) w.aux->update(gr, words);
           }
         }
 
@@ -501,22 +537,22 @@ TEST(TortureBpfDiff, PolicyProgramsBitIdenticalAcrossTiers) {
               << where() << " (mirror aux diverged from interpreter)";
         }
 
-        for (int t = 0; t < kNumTiers; ++t) {
+        for (int leg = 0; leg < kNumLegs; ++leg) {
           ReuseportCtx ctx = ctx0;
-          const Vm::RunResult got = vms[t].run(*loaded[t], ctx);
-          ASSERT_EQ(got.ret, ref.ret) << where() << " tier " << t;
+          const ExecutionPlan::ExecResult got = legs[leg].run(ctx);
+          ASSERT_EQ(got.ret, ref.ret) << where() << " " << leg_name(leg);
           ASSERT_EQ(got.insns_executed, ref.insns_executed)
-              << where() << " tier " << t;
+              << where() << " " << leg_name(leg);
           ASSERT_EQ(ctx.selection_made, ref_ctx.selection_made)
-              << where() << " tier " << t;
+              << where() << " " << leg_name(leg);
           ASSERT_EQ(ctx.selected_socket, ref_ctx.selected_socket)
-              << where() << " tier " << t;
+              << where() << " " << leg_name(leg);
           if (aux_bytes > 0) {
-            ASSERT_EQ(std::memcmp(tier_worlds[t].aux->storage_base(),
+            ASSERT_EQ(std::memcmp(leg_worlds[leg].aux->storage_base(),
                                   ref_world.aux->storage_base(),
                                   ref_world.aux->storage_bytes()),
                       0)
-                << where() << " tier " << t << " (aux bytes diverged)";
+                << where() << " " << leg_name(leg) << " (aux bytes diverged)";
           }
         }
       }
