@@ -23,7 +23,7 @@ namespace {
 
 struct Args {
   std::string mode = "hermes";
-  std::string policy;  // empty = default_policy() (HERMES_POLICY or cascade)
+  std::string policy;  // empty = default_policy() (cascade)
   int case_id = 3;
   double load = 1.0;
   uint32_t workers = 8;
@@ -90,7 +90,7 @@ void usage() {
       "simctl — drive the Hermes LB simulator\n\n"
       "  --mode M       hermes|exclusive|reuseport|rr|wakeall|fifo|dispatcher\n"
       "  --policy P     dispatch policy: cascade|p2c|weighted|queue_est\n"
-      "                 (default: HERMES_POLICY env var, else cascade)\n"
+      "                 (default: cascade)\n"
       "  --case N       traffic case 1-4 (paper Table 3)\n"
       "  --load X       replay multiplier (1=light, 2=medium, 3=heavy)\n"
       "  --workers N    worker processes / cores (default 8)\n"

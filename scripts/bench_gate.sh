@@ -31,6 +31,13 @@
 #                     queue_est); gates insns-per-dispatch + selection
 #                     counts over a fixed ctx sweep and the hetero-fleet
 #                     Fig. 13-style CPU/conn SD per policy
+#   fig11_cluster     canary release on a Maglev fleet: gates the per-day
+#                     delayed-probe rates (the binary itself exits non-zero
+#                     unless pre-release days average >= 1% and every
+#                     released day stays <= 0.5%)
+#   appendixC_sandbox abusive-tenant sandbox: gates the victims' p99 per
+#                     phase (the binary exits non-zero unless the attack
+#                     lifts it >= 10x and the sandbox holds it <= 1.5x)
 # Comparison policy (tolerances, wall-clock exclusions) lives in
 # bench/bench_gate_check.cc.
 set -euo pipefail
@@ -40,7 +47,7 @@ BUILD_DIR=${BUILD_DIR:-build}
 BASELINE=${BASELINE:-bench/baseline.json}
 GATE_BENCHES=(fig12_unit_cost fig13_load_sd table5_overhead analysis_cost
               dispatch_path sched_path fleet_scale proxy_path
-              ablation_policy)
+              ablation_policy fig11_cluster appendixC_sandbox)
 
 # The gate runs the fleet bench at smoke scale; deterministic metrics scale
 # with the connection count, so the baseline is only valid at this value.

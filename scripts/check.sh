@@ -44,7 +44,6 @@ run_suite() {
   echo "==> ctest ${dir} -L '${LABELS}'"
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L "$LABELS"
   run_jit_legs "$dir"
-  run_policy_sweep "$dir"
 }
 
 # eBPF JIT legs: the suite above already ran every bpf-labeled case at
@@ -65,21 +64,6 @@ run_jit_legs() {
   echo "==> ctest ${dir} -L validate (HERMES_BPF_VALIDATE=1)"
   HERMES_BPF_VALIDATE=1 \
     ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L validate
-}
-
-# Scheduling-policy sweep: the suite above ran with the default policy
-# (HERMES_POLICY unset = cascade). Re-run the policy-labeled suites
-# pinned to each shipped policy so every generated dispatch program
-# attaches (prove-before-load), dispatches, and keeps its userspace
-# mirror honest under the env-selection path — under a sanitizer tree
-# this is also what would catch an aux-map overrun in a policy program.
-run_policy_sweep() {
-  local dir=$1
-  for pol in cascade p2c weighted queue_est; do
-    echo "==> ctest ${dir} -L policy (HERMES_POLICY=$pol)"
-    HERMES_POLICY=$pol \
-      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -L policy
-  done
 }
 
 # TSan preset: only the suites that exercise cross-thread code (the WST

@@ -59,7 +59,7 @@ class HermesRuntime {
     obs::Observability* obs = nullptr;
     // Scheduling policy (core/policy.h): which Stage-2 aux pipeline +
     // Stage-3 dispatch program pair the runtime runs. Defaults to the
-    // HERMES_POLICY env override, else the paper's cascade.
+    // paper's cascade.
     PolicyKind policy = default_policy();
     // Per-worker capacity weights for the weighted policy (empty = all 1).
     std::vector<uint32_t> worker_weights;

@@ -48,11 +48,10 @@ enum class PolicyKind : uint8_t { Cascade = 0, P2c, Weighted, QueueEst };
 inline constexpr size_t kPolicyCount = 4;
 
 const char* to_string(PolicyKind kind);
-// Accepts the names used by HERMES_POLICY / simctl --policy:
+// Accepts the names used by simctl --policy:
 // cascade | p2c | weighted | queue_est. Returns false on anything else.
 bool parse_policy(std::string_view name, PolicyKind* out);
-// Process-wide default: HERMES_POLICY env var, else Cascade. Read once;
-// an unknown name aborts loudly.
+// The default every config starts from: the paper's cascade.
 PolicyKind default_policy();
 
 struct PolicyProgramParams {

@@ -66,7 +66,9 @@ size_t Fleet::route_mod(uint32_t flow_hash) const {
 
 size_t Fleet::open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
                          size_t count) {
-  if (active_count() == 0) return 0;
+  const auto pin = pins_.find(tenant);
+  const size_t sandbox = pin == pins_.end() ? SIZE_MAX : pin->second;
+  if (sandbox == SIZE_MAX && active_count() == 0) return 0;
   burst_groups_.resize(devices_.size());
   for (auto& g : burst_groups_) g.clear();
 
@@ -81,7 +83,8 @@ size_t Fleet::open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
     t.daddr = 0x0a000001;
     t.sport = static_cast<uint16_t>(1024 + rng_.next_below(60000));
     t.dport = dport;
-    const size_t dev = route(netsim::skb_hash(t));
+    const size_t dev =
+        sandbox != SIZE_MAX ? sandbox : route(netsim::skb_hash(t));
     HERMES_DCHECK(dev != SIZE_MAX);
     burst_groups_[dev].push_back(t);
   }
@@ -95,8 +98,16 @@ size_t Fleet::open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
   return established;
 }
 
-size_t Fleet::add_lb() {
-  devices_.push_back(std::make_unique<LbDevice>(device_config(next_id_)));
+void Fleet::pin_tenant(TenantId tenant, size_t i) {
+  HERMES_CHECK(i < devices_.size());
+  HERMES_CHECK_MSG(!active_[i], "pin_tenant: the sandbox must be drained");
+  pins_[tenant] = i;
+}
+
+size_t Fleet::add_lb(netsim::DispatchMode mode) {
+  LbDevice::Config dc = device_config(next_id_);
+  dc.mode = mode;
+  devices_.push_back(std::make_unique<LbDevice>(dc));
   ids_.push_back(next_id_++);
   active_.push_back(true);
   // New devices join at the fleet clock (their queue starts at zero).
@@ -105,14 +116,18 @@ size_t Fleet::add_lb() {
   return devices_.size() - 1;
 }
 
-void Fleet::remove_lb(size_t i) {
+void Fleet::drain(size_t i) {
   HERMES_CHECK(i < devices_.size() && active_[i]);
   active_[i] = false;
   rebuild_tables();
+}
+
+void Fleet::remove_lb(size_t i) {
+  drain(i);
   // Every connection still on the removed device is broken: the stateless
   // front tier now routes its packets to a device with no state for it.
   broken_total_ += devices_[i]->live_connections();
-  devices_[i]->close_fraction(1.0);
+  devices_[i]->close_all();
 }
 
 Fleet::PccAudit Fleet::audit_pcc() {

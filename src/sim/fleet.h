@@ -13,12 +13,16 @@
 // ECMP does) moves almost all of them. Fleet measures both, by scanning the
 // SoA connection slabs of every device and re-routing each live tuple.
 //
-// Each LbDevice keeps its own event queue (as in multi_lb.h); devices only
-// interact through connection arrivals, so the fleet advances them in
-// bounded lockstep.
+// The same fleet runs the paper's deployment scenarios: a canary release
+// (Fig. 11) is new-version LBs joining with add_lb(mode) while the old ones
+// drain(), and the Appendix-C sandbox is pin_tenant() onto a drained LB.
+//
+// Each LbDevice keeps its own event queue; devices only interact through
+// connection arrivals, so the fleet advances them in bounded lockstep.
 #pragma once
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "netsim/four_tuple.h"
@@ -100,23 +104,38 @@ class Fleet {
   size_t route_mod(uint32_t flow_hash) const;
 
   // Open `count` connections for `tenant`: tuples are drawn from the fleet
-  // RNG, routed by Maglev exactly as the front tier would route the SYN,
-  // and delivered to each device as one tuple burst. Returns established.
+  // RNG, routed by Maglev exactly as the front tier would route the SYN
+  // (or all to the tenant's sandbox, see pin_tenant), and delivered to each
+  // device as one tuple burst. Returns established; 0 when no device is in
+  // rotation and the tenant is not pinned.
   size_t open_burst(TenantId tenant, const LbDevice::ConnPlan& plan,
                     size_t count);
 
-  // ---- membership churn ------------------------------------------------
-  // Add one LB instance; the table rebuild remaps ~1/N of the hash space.
-  // Returns the new device's index.
-  size_t add_lb();
+  // Sandbox isolation (Appendix C): route every NEW connection of `tenant`
+  // to device `i`, which must be out of rotation (drained), so no other
+  // tenant lands there and audit_pcc never scans a pinned connection.
+  void pin_tenant(TenantId tenant, size_t i);
 
-  // Remove LB `i` from the rotation. Its live connections are broken (the
-  // stateless tier cannot pin them anywhere) and closed; surviving
-  // connections on other devices may also be remapped by the rebuild.
+  // ---- membership churn ------------------------------------------------
+  // Add one LB instance running `mode` (the argument-less form keeps the
+  // fleet's configured mode); the table rebuild remaps ~1/N of the hash
+  // space. Returns the new device's index.
+  size_t add_lb(netsim::DispatchMode mode);
+  size_t add_lb() { return add_lb(cfg_.device.mode); }
+
+  // Take LB `i` out of the rotation and rebuild the table: it gets no new
+  // connections, while the ones it holds keep running to completion (a
+  // canary drain).
+  void drain(size_t i);
+
+  // drain(i), then break and close every connection still on LB `i`,
+  // queued ones included: the stateless tier cannot pin them anywhere.
+  // Surviving connections on other devices may also be remapped by the
+  // rebuild.
   void remove_lb(size_t i);
 
   // ---- PCC audit -------------------------------------------------------
-  // Scan every active device's connection slab (SoA column walk) and
+  // Scan every in-rotation device's connection slab (SoA column walk) and
   // re-route each live tuple through the CURRENT front-tier tables.
   struct PccAudit {
     uint64_t checked = 0;            // live connections scanned
@@ -142,7 +161,7 @@ class Fleet {
   void run_until(SimTime until, SimTime step = SimTime::millis(100));
   SimTime now() const { return now_; }
 
-  uint64_t total_live() const;
+  uint64_t total_live() const;  // in-rotation devices only
   uint64_t total_completed() const;
   uint64_t total_opened() const;
   uint64_t total_dropped() const;
@@ -166,6 +185,7 @@ class Fleet {
   SimTime now_{};
   uint64_t broken_total_ = 0;
   uint32_t next_id_ = 0;
+  std::unordered_map<TenantId, size_t> pins_;  // tenant -> sandbox device
 
   // open_burst scratch: per-device tuple groups.
   std::vector<std::vector<netsim::FourTuple>> burst_groups_;

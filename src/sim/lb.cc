@@ -322,6 +322,23 @@ uint64_t LbDevice::close_fraction(double fraction) {
   return victims.size();
 }
 
+void LbDevice::close_all() {
+  // Queued connections leave their accept queues first, so no stale view
+  // stays behind for a worker's later accept() to pop.
+  for (WorkerId w = 0; w < cfg_.num_workers; ++w) {
+    for (netsim::ListeningSocket* sock : ns_.sockets_of(w)) {
+      while (const netsim::Connection conn = sock->accept_queue().pop()) {
+        conns_.erase(conn.id());
+        ns_.close(conn);
+      }
+    }
+  }
+  std::vector<netsim::ConnId> accepted;
+  accepted.reserve(conns_.size());
+  for (const auto& [id, lc] : conns_) accepted.push_back(id);
+  for (netsim::ConnId id : accepted) close_conn(id);
+}
+
 void LbDevice::run_degradation_sweep() {
   if (!hermes_ || !degradation_) return;
   for (WorkerId w = 0; w < cfg_.num_workers; ++w) {

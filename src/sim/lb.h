@@ -36,7 +36,7 @@ class LbDevice {
     Worker::Config worker{};           // id is overwritten per worker
     core::HermesConfig hermes{};
     // Scheduling policy for the generated dispatch program (core/policy.h).
-    // Defaults to the cascade, overridable via HERMES_POLICY.
+    // Defaults to the paper's cascade.
     core::PolicyKind policy = core::default_policy();
     // Heterogeneous fleet: per-worker relative core speeds (empty = all
     // 1.0). Shorter than num_workers pads with 1.0. Also feeds the
@@ -142,6 +142,9 @@ class LbDevice {
   // Close roughly `fraction` of live connections (client churn / age-out
   // model for canary-drain experiments). Returns how many were closed.
   uint64_t close_fraction(double fraction);
+  // Close every connection, the ones still waiting in an accept queue
+  // included (the device leaves service).
+  void close_all();
 
   // Proactive degradation sweep (Appendix C): reset a fraction of a hung
   // worker's connections; clients immediately reconnect (new SYN), letting

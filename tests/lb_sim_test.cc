@@ -372,5 +372,18 @@ TEST(LbSimTest, SynRetriesExhaustAndGiveUp) {
   EXPECT_GT(lb.totals().conns_dropped, 4u);
 }
 
+TEST(LbSimTest, CloseFractionShedsRoughlyThatShare) {
+  LbDevice lb(base_config(netsim::DispatchMode::HermesMode, 100));
+  LbDevice::ConnPlan plan;
+  plan.remaining = 100;
+  plan.gap_us = DistSpec::constant(10'000'000);
+  for (int i = 0; i < 400; ++i) lb.open_connection(0, plan);
+  lb.eq().run_until(SimTime::millis(200));
+  const uint64_t before = lb.live_connections();
+  const uint64_t shed = lb.close_fraction(0.5);
+  EXPECT_NEAR(static_cast<double>(shed), before * 0.5, before * 0.12);
+  EXPECT_EQ(lb.live_connections(), before - shed);
+}
+
 }  // namespace
 }  // namespace hermes::sim

@@ -4,9 +4,8 @@
 // counters; the weighted policy skews connections toward faster cores in
 // a heterogeneous fleet; per-worker speed scales the cost model.
 //
-// Every test pins Config::policy explicitly, so the suite passes under
-// any HERMES_POLICY value — the check.sh policy sweep re-runs it with
-// each one to cover the env-selection path end to end.
+// Every test but DefaultConfigRunsCascade pins Config::policy explicitly;
+// EveryPolicyServesTrafficEndToEnd covers all policies in one process.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -127,21 +126,24 @@ TEST(PolicySimTest, WorkerSpeedScalesServiceCost) {
   EXPECT_LT(busy_total(fast_lb).ns(), busy_total(slow_lb).ns() / 2);
 }
 
-TEST(PolicySimTest, DefaultPolicyFromEnvironmentServesTraffic) {
-  // The one test that does NOT pin Config::policy: whatever HERMES_POLICY
-  // selected (the check.sh sweep sets each name in turn) must attach,
-  // prove, and dispatch.
+TEST(PolicySimTest, DefaultConfigRunsCascade) {
+  // The one test that does NOT pin Config::policy: an unpinned config runs
+  // the paper's cascade, and it attaches, proves and dispatches.
   LbDevice::Config cfg;
   cfg.mode = netsim::DispatchMode::HermesMode;
   cfg.num_workers = 8;
   cfg.num_ports = 8;
   LbDevice lb(cfg);
   ASSERT_NE(lb.hermes(), nullptr);
-  EXPECT_EQ(lb.hermes()->policy_kind(), core::default_policy());
+  EXPECT_EQ(lb.hermes()->policy_kind(), core::PolicyKind::Cascade);
   run_case(lb);
   EXPECT_GT(lb.totals().requests_completed, 100u);
-  const auto active = static_cast<size_t>(lb.hermes()->policy_kind());
-  EXPECT_GT(lb.obs()->metrics.policy_dispatches[active]->value(), 0u);
+  const auto cascade = static_cast<size_t>(core::PolicyKind::Cascade);
+  EXPECT_GT(lb.obs()->metrics.policy_dispatches[cascade]->value(), 0u);
+  for (size_t k = 0; k < core::kPolicyCount; ++k) {
+    if (k == cascade) continue;
+    EXPECT_EQ(lb.obs()->metrics.policy_dispatches[k]->value(), 0u) << k;
+  }
 }
 
 TEST(PolicySimTest, AuxPublishesTrackSchedules) {
