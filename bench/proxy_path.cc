@@ -8,7 +8,7 @@
 // the backend response chain are pre-generated OUTSIDE the timed region
 // (they model the NIC and the backend, not the proxy); the timed loop is
 // parse + forward + egress only. An untimed verification pass first runs
-// both modes and chains an FNV-1a hash over every forwarded byte in both
+// both modes and chains a stream checksum over every forwarded byte in both
 // directions: the streams must be bit-identical between zero-copy and the
 // copy oracle, and the keep-alive zero-copy path must beat the oracle by
 // >= 2x wall-clock — both enforced with a hard exit(1), not just gated.
@@ -156,8 +156,8 @@ struct ModeRun {
   uint64_t requests = 0;
   uint64_t fwd_copied = 0;      // proxy-path memcpy bytes
   uint64_t fwd_referenced = 0;  // proxy-path referenced bytes
-  uint64_t wire_hash = netsim::IoChain::kFnvOffset;
-  uint64_t egress_hash = netsim::IoChain::kFnvOffset;
+  uint64_t wire_hash = netsim::IoChain::kChecksumSeed;
+  uint64_t egress_hash = netsim::IoChain::kChecksumSeed;
 };
 
 // One full pass over the scenario in one mode. `verify` chains hashes
@@ -177,11 +177,11 @@ ModeRun run_pass(const std::vector<ConnInput>& inputs,
       }
       while (auto r = cs.pop_ready()) {
         if (verify) {
-          out.wire_hash = r->wire.fnv1a(out.wire_hash);
+          out.wire_hash = r->wire.checksum(out.wire_hash);
         }
         const netsim::IoChain ee = cs.egress(response);
         if (verify) {
-          out.egress_hash = ee.fnv1a(out.egress_hash);
+          out.egress_hash = ee.checksum(out.egress_hash);
         }
         ++popped;
       }

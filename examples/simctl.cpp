@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
                 (unsigned long)dt.pool_hits, (unsigned long)dt.pool_misses,
                 (unsigned long)dt.pool_expiries,
                 (unsigned long)lb.data_plane()->pool().idle_total());
-    std::printf("streams    : backend fnv 0x%016lx, client fnv 0x%016lx\n",
+    std::printf("streams    : backend sum 0x%016lx, client sum 0x%016lx\n",
                 (unsigned long)dt.backend_stream_hash,
                 (unsigned long)dt.client_stream_hash);
   }

@@ -5,7 +5,14 @@
 // to those segments (splice-style), so the proxy path itself performs
 // zero memcpy. A copying mode is retained by the callers (ConnState /
 // DataPlane) as the differential oracle: both modes must produce
-// bit-identical byte streams, which IoChain::fnv1a() checks cheaply.
+// bit-identical byte streams, which IoChain::checksum() checks cheaply.
+//
+// The checksum reads 8-byte little-endian words, h = rotl((h ^ w) * K, 29)
+// with K odd, carrying a partial word across slice boundaries so any
+// slicing of the same bytes checksums alike; it finishes by mixing in the
+// zero-padded partial word, then the byte count. Each step is a bijection
+// in h and injective in w, so two equal-length streams that differ in any
+// single byte always checksum differently.
 //
 // Concurrency: the simulator is single-threaded by design (workers are
 // simulated actors inside one event loop), so refcounts are plain
@@ -18,6 +25,7 @@
 // write frontier; bytes that any other slice can see are immutable.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -294,19 +302,12 @@ class IoChain {
     return out;
   }
 
-  static constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
+  static constexpr uint64_t kChecksumSeed = 0x243F6A8885A308D3ULL;  // pi
 
-  // Streaming FNV-1a over all bytes; the differential-oracle checksum.
-  uint64_t fnv1a(uint64_t h = kFnvOffset) const {
-    for (const IoSlice& s : slices_) {
-      const char* p = s.seg->data() + s.off;
-      for (uint32_t i = 0; i < s.len; ++i) {
-        h ^= static_cast<unsigned char>(p[i]);
-        h *= 1099511628211ULL;
-      }
-    }
-    return h;
-  }
+  // Word-at-a-time checksum over all bytes (see file comment); the
+  // differential-oracle checksum. Chain per-message values by passing
+  // the previous result as `h`.
+  uint64_t checksum(uint64_t h = kChecksumSeed) const;
 
  private:
   // The tail segment is writable only while this chain's tail slice is
@@ -325,13 +326,59 @@ class IoChain {
   size_t size_ = 0;
 };
 
-inline uint64_t fnv1a_bytes(std::string_view s,
-                            uint64_t h = IoChain::kFnvOffset) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
+// Streaming state behind IoChain::checksum(): full words are mixed as
+// they complete, the partial word waits for the next update().
+class StreamChecksum {
+ public:
+  explicit StreamChecksum(uint64_t h) : h_(h) {}
+
+  void update(const char* p, size_t n) {
+    len_ += n;
+    for (; n > 0 && tail_len_ > 0; --n) push_byte(*p++);  // carried word
+    for (; n >= 8; p += 8, n -= 8) {
+      uint64_t w;
+      std::memcpy(&w, p, 8);
+      if constexpr (std::endian::native == std::endian::big) {
+        w = __builtin_bswap64(w);
+      }
+      h_ = mix(h_, w);
+    }
+    for (; n > 0; --n) push_byte(*p++);
   }
-  return h;
+
+  uint64_t finish() const { return mix(mix(h_, tail_), len_); }
+
+ private:
+  static uint64_t mix(uint64_t h, uint64_t w) {
+    return std::rotl((h ^ w) * 0x9E3779B97F4A7C15ULL, 29);
+  }
+
+  void push_byte(char c) {
+    tail_ |= uint64_t{static_cast<unsigned char>(c)} << (8 * tail_len_);
+    if (++tail_len_ == 8) {
+      h_ = mix(h_, tail_);
+      tail_ = 0;
+      tail_len_ = 0;
+    }
+  }
+
+  uint64_t h_;
+  uint64_t tail_ = 0;  // partial little-endian word
+  unsigned tail_len_ = 0;  // bytes in tail_, 0..7 between updates
+  uint64_t len_ = 0;
+};
+
+inline uint64_t IoChain::checksum(uint64_t h) const {
+  StreamChecksum c(h);
+  for (const IoSlice& s : slices_) c.update(s.seg->data() + s.off, s.len);
+  return c.finish();
+}
+
+inline uint64_t checksum_bytes(std::string_view s,
+                               uint64_t h = IoChain::kChecksumSeed) {
+  StreamChecksum c(h);
+  c.update(s.data(), s.size());
+  return c.finish();
 }
 
 }  // namespace hermes::netsim

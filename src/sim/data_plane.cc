@@ -1,5 +1,8 @@
 #include "sim/data_plane.h"
 
+#include <algorithm>
+#include <array>
+
 #include "http/response.h"
 #include "util/check.h"
 
@@ -15,6 +18,34 @@ void append_u64(std::string* out, uint64_t v) {
     v /= 10;
   } while (v > 0);
   while (n > 0) out->push_back(buf[--n]);
+}
+
+// The 26-letter cycle from `base`, repeated past one 4 KiB iobuf so most
+// bodies take one memcpy. A multiple of 26 long: the end is phase 0.
+using CycleTable = std::array<char, 26 * 160>;
+
+constexpr CycleTable make_cycle(char base) {
+  CycleTable t{};
+  for (size_t i = 0; i < t.size(); ++i) {
+    t[i] = static_cast<char>(base + i % 26);
+  }
+  return t;
+}
+constexpr CycleTable kLowerCycle = make_cycle('a');
+constexpr CycleTable kUpperCycle = make_cycle('A');
+
+// Appends base + (phase + i) % 26 for i in [0, n), where `cycle` is
+// make_cycle(base): memcpy chunks up to the table's end.
+void append_cycle(std::string* out, const CycleTable& cycle, uint64_t phase,
+                  uint64_t n) {
+  size_t off = static_cast<size_t>(phase % 26);
+  while (n > 0) {
+    const size_t take =
+        static_cast<size_t>(std::min<uint64_t>(n, cycle.size() - off));
+    out->append(cycle.data() + off, take);
+    n -= take;
+    off = 0;
+  }
 }
 
 }  // namespace
@@ -38,18 +69,14 @@ void DataPlane::synth_request_wire(const Request& req, bool last_on_conn,
   out->append("Content-Length: ");
   append_u64(out, body_len);
   out->append("\r\n\r\n");
-  for (uint64_t i = 0; i < body_len; ++i) {
-    out->push_back(static_cast<char>('a' + (req.id + i) % 26));
-  }
+  append_cycle(out, kLowerCycle, req.id, body_len);
 }
 
 void DataPlane::synth_response_body(const Request& req, std::string* out) {
   out->clear();
   const uint64_t body_len = req.bytes;  // echo-sized deterministic payload
   out->reserve(body_len);
-  for (uint64_t i = 0; i < body_len; ++i) {
-    out->push_back(static_cast<char>('A' + (req.id * 7 + i) % 26));
-  }
+  append_cycle(out, kUpperCycle, req.id * 7, body_len);
 }
 
 DataPlane::DataPlane(const Config& cfg, uint32_t num_workers,
@@ -110,7 +137,7 @@ SimTime DataPlane::on_request(WorkerId w, const Request& req,
   totals_.bytes_in += scratch_.size();
   const size_t wire_bytes = ready->wire.size();
   totals_.backend_stream_hash =
-      ready->wire.fnv1a(totals_.backend_stream_hash);
+      ready->wire.checksum(totals_.backend_stream_hash);
   ++totals_.requests_forwarded;
   if (cfg_.zero_copy) {
     totals_.bytes_zero_copied += wire_bytes;
@@ -121,7 +148,7 @@ SimTime DataPlane::on_request(WorkerId w, const Request& req,
   // Pick a backend and take (or establish) a connection to it.
   const core::BackendId b = rr_.pick(w);
   const auto pooled = pool_.acquire(w, b, now);
-  pending_[req.id] = Pending{b, pooled ? pooled->id : 0};
+  c.pending.push_back(Pending{req.id, b, pooled ? pooled->id : 0});
 
   totals_.pool_hits = pool_.stats().hits;
   totals_.pool_misses = pool_.stats().misses;
@@ -159,7 +186,7 @@ void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
 
   const netsim::IoChain encoded = http::ConnState::encode(resp);
   const netsim::IoChain out = c.cs.egress(encoded);
-  totals_.client_stream_hash = out.fnv1a(totals_.client_stream_hash);
+  totals_.client_stream_hash = out.checksum(totals_.client_stream_hash);
   totals_.bytes_out += out.size();
   ++totals_.responses_returned;
   if (cfg_.zero_copy) {
@@ -177,17 +204,25 @@ void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
   }
 
   // Return the backend connection to the pool.
-  auto pit = pending_.find(req.id);
-  if (pit != pending_.end()) {
-    pool_.release(w, pit->second.backend, pit->second.pooled_id, now);
-    pending_.erase(pit);
-  }
+  const auto pit =
+      std::find_if(c.pending.begin(), c.pending.end(),
+                   [&req](const Pending& p) { return p.req == req.id; });
+  HERMES_CHECK_MSG(pit != c.pending.end(),
+                   "data plane: response without its request in flight");
+  pool_.release(w, pit->backend, pit->pooled_id, now);
+  c.pending.erase(pit);
   totals_.pool_evictions = pool_.stats().evictions;
   sync_pool_stats(w);
 }
 
 void DataPlane::on_conn_close(netsim::ConnId id) {
   conns_.erase(id);
+}
+
+size_t DataPlane::in_flight() const {
+  size_t n = 0;
+  for (const auto& [id, c] : conns_) n += c.pending.size();
+  return n;
 }
 
 }  // namespace hermes::sim

@@ -13,8 +13,8 @@
 //
 // Both modes (Config::zero_copy = true zero-copy / = false copy oracle)
 // must produce bit-identical backend and client byte streams; the data
-// plane chains an FNV-1a hash over each direction so benches and tests
-// can assert it.
+// plane chains a stream checksum (IoChain::checksum) over each direction
+// so benches and tests can assert it.
 //
 // Disabled by default (Config::enabled=false): every pre-existing bench
 // and test runs byte-identically with the data plane compiled in.
@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/backend_pool.h"
 #include "http/conn_state.h"
@@ -66,10 +67,10 @@ class DataPlane {
     uint64_t pool_expiries = 0;
     uint64_t pool_evictions = 0;
     uint64_t parse_errors = 0;
-    // Chained FNV-1a over every byte forwarded toward backends /
+    // Chained checksum over every byte forwarded toward backends /
     // clients, in completion order. Equal across modes or bust.
-    uint64_t backend_stream_hash = netsim::IoChain::kFnvOffset;
-    uint64_t client_stream_hash = netsim::IoChain::kFnvOffset;
+    uint64_t backend_stream_hash = netsim::IoChain::kChecksumSeed;
+    uint64_t client_stream_hash = netsim::IoChain::kChecksumSeed;
   };
 
   DataPlane(const Config& cfg, uint32_t num_workers, obs::Observability* obs);
@@ -89,6 +90,9 @@ class DataPlane {
   const Config& config() const { return cfg_; }
   const core::BackendConnectionPool& pool() const { return pool_; }
   size_t live_conn_states() const { return conns_.size(); }
+  // Requests forwarded whose response has not egressed yet; a connection
+  // closed mid-flight drops its request's backend lease with it.
+  size_t in_flight() const;
 
   // Builds the deterministic wire form for a request / its response —
   // shared with bench/proxy_path so micro and sim legs agree.
@@ -97,13 +101,19 @@ class DataPlane {
   static void synth_response_body(const Request& req, std::string* out);
 
  private:
-  struct ConnCtx {
-    http::ConnState cs;
-    explicit ConnCtx(const http::ConnState::Config& c) : cs(c) {}
-  };
+  // The backend lease of a request between on_request and on_response.
   struct Pending {
+    RequestId req = 0;
     core::BackendId backend = 0;
     uint64_t pooled_id = 0;  // 0 = freshly established
+  };
+  struct ConnCtx {
+    http::ConnState cs;
+    // In request order; more than one only under a request burst
+    // (LbDevice::burst_all_connections). Capacity stays with the
+    // connection, so keep-alive requests allocate nothing here.
+    std::vector<Pending> pending;
+    explicit ConnCtx(const http::ConnState::Config& c) : cs(c) {}
   };
 
   ConnCtx& ctx(netsim::ConnId id);
@@ -116,7 +126,6 @@ class DataPlane {
   core::BackendConnectionPool pool_;
   core::BackendConnectionPool::Stats pool_seen_{};  // last obs-synced stats
   std::unordered_map<netsim::ConnId, ConnCtx> conns_;
-  std::unordered_map<RequestId, Pending> pending_;
   std::string scratch_;
   Totals totals_;
 };

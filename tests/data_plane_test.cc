@@ -1,8 +1,11 @@
 // The L7 byte-level data plane inside the LB simulation: zero-copy vs
 // copy-oracle differential (bit-identical streams), backend connection
-// pool reuse across keep-alive requests, rate-limited admission, and
-// fleet-level aggregation.
+// pool reuse across keep-alive requests, rate-limited admission,
+// fleet-level aggregation, backend leases of closed connections, and the
+// synthesized wire bytes against a per-byte reference.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "sim/fleet.h"
 #include "sim/lb.h"
@@ -60,8 +63,52 @@ TEST(DataPlaneTest, ForwardsEveryCompletedRequest) {
   // Zero-copy mode: the proxy path memcpy'd nothing.
   EXPECT_EQ(t.bytes_copied, 0u);
   EXPECT_GT(t.bytes_zero_copied, 0u);
-  // All connections closed → no ConnState leaks.
+  // All connections closed → no ConnState or backend-lease leaks.
   EXPECT_EQ(lb.data_plane()->live_conn_states(), 0u);
+  EXPECT_EQ(lb.data_plane()->in_flight(), 0u);
+}
+
+TEST(DataPlaneTest, ClosingConnectionMidFlightDropsItsLease) {
+  DataPlane::Config dc;
+  dc.enabled = true;
+  DataPlane dp(dc, /*num_workers=*/2, /*obs=*/nullptr);
+  Request req;
+  req.id = 1;
+  req.conn = 7;
+  req.bytes = 700;
+  dp.on_request(0, req, /*last_on_conn=*/false, SimTime::zero());
+  EXPECT_EQ(dp.in_flight(), 1u);
+  // The client connection closes while the request is at a worker; the
+  // worker's completion then finds no connection.
+  dp.on_conn_close(req.conn);
+  EXPECT_EQ(dp.in_flight(), 0u);
+  dp.on_response(0, req, SimTime::micros(10));
+  EXPECT_EQ(dp.in_flight(), 0u);
+  EXPECT_EQ(dp.live_conn_states(), 0u);
+  EXPECT_EQ(dp.totals().responses_returned, 0u);
+}
+
+TEST(DataPlaneTest, BurstKeepsEveryLeaseUntilItsResponse) {
+  // A request burst puts several requests of one connection in flight at
+  // once; each response returns its own request's backend lease.
+  LbDevice lb(dp_config(/*zero_copy=*/true));
+  LbDevice::ConnPlan plan;
+  plan.remaining = 2;
+  plan.cost_us = DistSpec::constant(100);
+  plan.gap_us = DistSpec::constant(10'000'000);  // no follow-up in the window
+  for (int i = 0; i < 8; ++i) {
+    lb.open_connection(static_cast<TenantId>(i % 4), plan);
+  }
+  lb.eq().run_until(SimTime::millis(100));
+  lb.burst_all_connections(DistSpec::constant(200), 3);
+  const DataPlane& dp = *lb.data_plane();
+  EXPECT_EQ(dp.in_flight(), 8u * 3u);
+  lb.eq().run_until(SimTime::millis(200));
+  EXPECT_EQ(dp.totals().requests_forwarded, 8u * 4u);
+  EXPECT_EQ(dp.totals().responses_returned, dp.totals().requests_forwarded);
+  EXPECT_EQ(dp.in_flight(), 0u);
+  EXPECT_EQ(dp.pool().stats().hits + dp.pool().stats().misses,
+            dp.totals().requests_forwarded);
 }
 
 TEST(DataPlaneTest, ZeroCopyAndOracleStreamsAreBitIdentical) {
@@ -218,6 +265,65 @@ TEST(DataPlaneTest, ObservabilityCountersMirrorTotals) {
   EXPECT_EQ(m.pool_hits->value(), static_cast<int64_t>(t.pool_hits));
   EXPECT_EQ(m.pool_misses->value(), static_cast<int64_t>(t.pool_misses));
   EXPECT_EQ(m.ratelimit_drops->value(), 0);
+}
+
+// Per-byte reference of the synthesized wire forms.
+std::string reference_request_head(const Request& r, bool last_on_conn) {
+  std::string s = "POST /t" + std::to_string(r.tenant) + "/r" +
+                  std::to_string(r.id) + " HTTP/1.1\r\nHost: tenant-" +
+                  std::to_string(r.tenant) +
+                  ".svc.hermes\r\nUser-Agent: hermes-client\r\n"
+                  "X-Request-Id: " +
+                  std::to_string(r.id) + "\r\n";
+  if (last_on_conn) s += "Connection: close\r\n";
+  return s;
+}
+
+std::string reference_request_wire(const Request& r, bool last_on_conn) {
+  std::string s = reference_request_head(r, last_on_conn);
+  const size_t overhead = s.size() + 40;
+  const uint64_t body_len = r.bytes > overhead ? r.bytes - overhead : 0;
+  s += "Content-Length: " + std::to_string(body_len) + "\r\n\r\n";
+  for (uint64_t i = 0; i < body_len; ++i) {
+    s.push_back(static_cast<char>('a' + (r.id + i) % 26));
+  }
+  return s;
+}
+
+std::string reference_response_body(const Request& r) {
+  std::string s;
+  for (uint64_t i = 0; i < r.bytes; ++i) {
+    s.push_back(static_cast<char>('A' + (r.id * 7 + i) % 26));
+  }
+  return s;
+}
+
+TEST(DataPlaneTest, SynthesisMatchesPerByteReference) {
+  // Stale contents: the synthesizers must replace, not append.
+  std::string wire = "stale";
+  std::string body = "stale";
+  for (const uint64_t base : {uint64_t{0}, uint64_t{1'000'000'007}}) {
+    for (uint64_t k = 0; k < 52; ++k) {  // every phase of both cycles, twice
+      Request r;
+      r.id = base + k;
+      r.tenant = static_cast<TenantId>(k % 5);
+      for (const bool last : {false, true}) {
+        for (const uint64_t len :
+             {0, 1, 25, 26, 27, 4095, 4096, 4097, 9000}) {
+          // Size the request so its body is exactly `len` bytes.
+          r.bytes = reference_request_head(r, last).size() + 40 + len;
+          const std::string want = reference_request_wire(r, last);
+          ASSERT_EQ(want.find("\r\n\r\n") + 4 + len, want.size());
+          DataPlane::synth_request_wire(r, last, &wire);
+          ASSERT_EQ(wire, want) << r.id << " " << last << " " << len;
+
+          r.bytes = len;
+          DataPlane::synth_response_body(r, &body);
+          ASSERT_EQ(body, reference_response_body(r)) << r.id << " " << len;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Ref-counted segment/chain buffer (netsim/iobuf.h): refcount lifecycle,
 // zero-copy vs copying appends, consume/copy_out, and the writable-tail
-// rule that keeps shared bytes immutable.
+// rule that keeps shared bytes immutable; the stream checksum's slicing
+// invariance and edit detection.
 #include "netsim/iobuf.h"
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
+#include <vector>
 
 namespace hermes::netsim {
 namespace {
@@ -107,18 +110,113 @@ TEST(IoChain, CopyOutWindow) {
   EXPECT_EQ(std::string(buf, 4), "defg");
 }
 
-TEST(IoChain, FnvMatchesFlatHash) {
-  const std::string flat = "GET / HTTP/1.1\r\nHost: x\r\n\r\n";
+std::string random_bytes(std::mt19937_64& rng, size_t n) {
+  std::string s(n, '\0');
+  for (char& ch : s) ch = static_cast<char>(rng());
+  return s;
+}
+
+// A chain holding `flat` cut at `cuts` (ascending), each piece in its own
+// segment so no two slices coalesce.
+IoChain chain_cut_at(const std::string& flat, const std::vector<size_t>& cuts) {
   IoChain c;
-  // Fragment the bytes across several slices; hash must equal the flat's.
-  for (size_t i = 0; i < flat.size(); i += 5) {
-    SegRef seg = IoSegment::alloc(8);
-    const uint32_t n =
-        static_cast<uint32_t>(std::min<size_t>(5, flat.size() - i));
-    seg->append(flat.data() + i, n);
-    c.append_ref(seg, 0, n);
+  size_t from = 0;
+  auto piece = [&](size_t to) {
+    if (to > from) {
+      const auto n = static_cast<uint32_t>(to - from);
+      SegRef seg = IoSegment::alloc(n);
+      seg->append(flat.data() + from, n);
+      c.append_ref(seg, 0, n);
+    }
+    from = to;
+  };
+  for (const size_t cut : cuts) piece(cut);
+  piece(flat.size());
+  return c;
+}
+
+TEST(IoChain, ChecksumIsSegmentationInvariant) {
+  std::mt19937_64 rng(7);
+  for (const size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 33, 64, 4095, 4096, 4097,
+                         9000}) {
+    const std::string flat = random_bytes(rng, n);
+    const uint64_t want = checksum_bytes(flat);
+    // Fixed-stride fragmentation: every piece length up to two words.
+    for (size_t k = 1; k <= 17 && k <= n; ++k) {
+      std::vector<size_t> cuts;
+      for (size_t i = k; i < n; i += k) cuts.push_back(i);
+      ASSERT_EQ(chain_cut_at(flat, cuts).checksum(), want) << n << "/" << k;
+    }
+    // Every one-point split.
+    for (size_t i = 0; i <= n; ++i) {
+      ASSERT_EQ(chain_cut_at(flat, {i}).checksum(), want) << n << "@" << i;
+    }
+    // Two-point splits: all of them for short strings; for long ones,
+    // cut points at every word alignment near the start, middle and end.
+    std::vector<size_t> points;
+    for (size_t i = 0; i <= n; ++i) {
+      if (n <= 64 || i < 17 || i + 17 > n || (i + 8 > n / 2 && i < n / 2 + 9)) {
+        points.push_back(i);
+      }
+    }
+    for (const size_t i : points) {
+      for (const size_t j : points) {
+        if (j < i) continue;
+        ASSERT_EQ(chain_cut_at(flat, {i, j}).checksum(), want)
+            << n << "@" << i << "," << j;
+      }
+    }
   }
-  EXPECT_EQ(c.fnv1a(), fnv1a_bytes(flat));
+}
+
+TEST(IoChain, ChecksumDetectsEverySingleByteEdit) {
+  std::mt19937_64 rng(11);
+  const std::vector<std::string> corpus = {
+      "", "a", "GET / HTTP/1.1\r\nHost: x\r\n\r\n",
+      std::string(40, 'a'), random_bytes(rng, 70)};
+  for (const std::string& orig : corpus) {
+    const uint64_t base = checksum_bytes(orig);
+    for (size_t i = 0; i < orig.size(); ++i) {
+      for (int v = 0; v < 256; ++v) {  // substitution
+        std::string s = orig;
+        if (s[i] == static_cast<char>(v)) continue;
+        s[i] = static_cast<char>(v);
+        ASSERT_NE(checksum_bytes(s), base) << "sub " << i << "=" << v;
+      }
+      std::string del = orig;  // deletion
+      del.erase(i, 1);
+      ASSERT_NE(checksum_bytes(del), base) << "del " << i;
+      if (i + 1 < orig.size() && orig[i] != orig[i + 1]) {  // transposition
+        std::string t = orig;
+        std::swap(t[i], t[i + 1]);
+        ASSERT_NE(checksum_bytes(t), base) << "swap " << i;
+      }
+    }
+    for (size_t i = 0; i <= orig.size(); ++i) {
+      for (const char ins : {'\0', 'a', '\xff'}) {  // insertion
+        std::string s = orig;
+        s.insert(s.begin() + static_cast<std::ptrdiff_t>(i), ins);
+        ASSERT_NE(checksum_bytes(s), base) << "ins " << i;
+      }
+    }
+  }
+}
+
+TEST(IoChain, ChainedChecksumIsOrderSensitive) {
+  // The data plane chains one checksum per message: h = m.checksum(h).
+  std::mt19937_64 rng(13);
+  const std::vector<std::string> msgs = {"", "a", "b", "ab", "abcdefgh",
+                                         random_bytes(rng, 100),
+                                         random_bytes(rng, 4097)};
+  for (const std::string& x : msgs) {
+    for (const std::string& y : msgs) {
+      if (x == y) continue;
+      const IoChain a = chain_cut_at(x, {x.size() / 3});
+      const IoChain b = chain_cut_at(y, {y.size() / 2});
+      EXPECT_NE(b.checksum(a.checksum()), a.checksum(b.checksum()))
+          << x.size() << "," << y.size();
+    }
+  }
 }
 
 TEST(IoChain, StatsAccounting) {
