@@ -1,6 +1,7 @@
 #include "bpf/analysis/interp.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -20,6 +21,82 @@ ValueRange size_bounded(int size) {
   if (size >= 8) return ValueRange::unknown();
   return ValueRange::bounded(0, (uint64_t{1} << (8 * size)) - 1);
 }
+
+// The stack is tracked as 4-byte cells (the smallest granule the Hermes
+// programs address). An aligned 64-bit store of any register spills its
+// full RegState across a SpillLo/SpillHi pair — this is what lets both
+// pointers and *ranged scalars* round-trip through the stack.
+struct Cell {
+  enum class Tag : uint8_t { Data, SpillLo, SpillHi };
+  Tag tag = Tag::Data;
+  // Data: the 32-bit content; the VM zeroes the stack, so cells start as
+  // konst(0).
+  ValueRange v32 = ValueRange::konst(0);
+  RegState spilled{};  // SpillLo only
+
+  bool operator==(const Cell&) const = default;
+};
+
+constexpr size_t kNumCells = kStackSize / 4;
+
+// One abstract machine state: registers plus the stack cells.
+//
+// The stack is sparse. Programs grow the stack down from r10 and touch few
+// cells (the cascade dispatch program two of 128), so a state stores only
+// the cells at or above its watermark lo(); every cell below it is the
+// VM's zeroed stack, Data konst(0). Reads go through cell(), which returns
+// that zero cell below the watermark; writes go through set_cell(), which
+// lowers the watermark and materializes the zero cells it uncovers.
+// Default construction, copies, joins and subsumption tests touch only
+// the registers and the stored cells, so their cost follows the stack
+// depth a program uses instead of the full 512-byte frame.
+class AbsState {
+ public:
+  std::array<RegState, kNumRegs> regs{};
+  bool reachable = false;
+
+  AbsState() = default;
+  AbsState(const AbsState& o)
+      : regs(o.regs), reachable(o.reachable), lo_(o.lo_) {
+    copy_cells(o);
+  }
+  AbsState& operator=(const AbsState& o) {
+    if (this != &o) {
+      regs = o.regs;
+      reachable = o.reachable;
+      lo_ = o.lo_;
+      copy_cells(o);
+    }
+    return *this;
+  }
+
+  size_t lo() const { return lo_; }
+  const Cell& cell(size_t i) const {
+    return i < lo_ ? kZeroCell : slots_[i].cell;
+  }
+  void set_cell(size_t i, const Cell& c) {
+    for (; lo_ > i; --lo_) slots_[lo_ - 1].cell = kZeroCell;
+    slots_[i].cell = c;
+  }
+
+ private:
+  inline static const Cell kZeroCell{};
+
+  // Uninitialized storage: only [lo_, kNumCells) holds live cells.
+  union Slot {
+    Slot() {}
+    Cell cell;
+  };
+
+  void copy_cells(const AbsState& o) {
+    for (size_t i = o.lo_; i < kNumCells; ++i) {
+      slots_[i].cell = o.slots_[i].cell;
+    }
+  }
+
+  size_t lo_ = kNumCells;
+  std::array<Slot, kNumCells> slots_;
+};
 
 Cell data_cell(const ValueRange& v32) {
   return Cell{Cell::Tag::Data, v32, RegState{}};
@@ -83,36 +160,51 @@ Cell join_cell(const Cell& a, const Cell& b, bool widen) {
   return unknown_cell();
 }
 
-// Cell-wise joins can break SpillLo/SpillHi pairing (one half degrades to
-// Data); restore the invariant by degrading orphaned halves.
-void normalize_spill_pairs(std::array<Cell, kNumCells>& cells) {
-  for (size_t i = 0; i < kNumCells; ++i) {
-    if (cells[i].tag == Cell::Tag::SpillLo &&
-        (i + 1 >= kNumCells || cells[i + 1].tag != Cell::Tag::SpillHi)) {
-      cells[i] = unknown_cell();
-    }
-    if (cells[i].tag == Cell::Tag::SpillHi &&
-        (i == 0 || cells[i - 1].tag != Cell::Tag::SpillLo)) {
-      cells[i] = unknown_cell();
-    }
-  }
-}
-
+// Join `src` into `dst`; returns whether `dst` changed. Cell-wise joins
+// can break SpillLo/SpillHi pairing (one half degrades to Data); the
+// invariant is restored in the same ascending pass by degrading orphaned
+// halves: a SpillLo needs a SpillHi joined above it, a SpillHi needs the
+// final cell below it to be a SpillLo. Cells below both watermarks are
+// zero in both states and stay so.
 bool merge_into(AbsState& dst, const AbsState& src, bool widen) {
   if (!src.reachable) return false;
   if (!dst.reachable) {
     dst = src;
     return true;
   }
-  const AbsState before = dst;
+  bool changed = false;
   for (size_t i = 0; i < dst.regs.size(); ++i) {
-    dst.regs[i] = join_reg(dst.regs[i], src.regs[i], widen);
+    RegState j = join_reg(dst.regs[i], src.regs[i], widen);
+    if (!(j == dst.regs[i])) {
+      dst.regs[i] = j;
+      changed = true;
+    }
   }
-  for (size_t i = 0; i < kNumCells; ++i) {
-    dst.cells[i] = join_cell(dst.cells[i], src.cells[i], widen);
+  const size_t lo = std::min(dst.lo(), src.lo());
+  if (lo == kNumCells) return changed;
+  Cell::Tag below = Cell::Tag::Data;  // final tag of cell i-1
+  Cell cur = join_cell(dst.cell(lo), src.cell(lo), widen);
+  for (size_t i = lo; i < kNumCells; ++i) {
+    const bool has_next = i + 1 < kNumCells;
+    const Cell next = has_next
+                          ? join_cell(dst.cell(i + 1), src.cell(i + 1), widen)
+                          : Cell{};
+    if (cur.tag == Cell::Tag::SpillLo &&
+        (!has_next || next.tag != Cell::Tag::SpillHi)) {
+      cur = unknown_cell();
+    }
+    if (cur.tag == Cell::Tag::SpillHi &&
+        (i == 0 || below != Cell::Tag::SpillLo)) {
+      cur = unknown_cell();
+    }
+    if (!(cur == dst.cell(i))) {
+      dst.set_cell(i, cur);
+      changed = true;
+    }
+    below = cur.tag;
+    cur = next;
   }
-  normalize_spill_pairs(dst.cells);
-  return !(dst == before);
+  return changed;
 }
 
 bool reg_subsumes(const RegState& a, const RegState& b) {
@@ -159,8 +251,9 @@ bool state_subsumes(const AbsState& a, const AbsState& b) {
   for (size_t i = 0; i < a.regs.size(); ++i) {
     if (!reg_subsumes(a.regs[i], b.regs[i])) return false;
   }
-  for (size_t i = 0; i < kNumCells; ++i) {
-    if (!cell_subsumes(a.cells[i], b.cells[i])) return false;
+  // Cells below both watermarks are zero in both states: zero ⊑ zero.
+  for (size_t i = std::min(a.lo(), b.lo()); i < kNumCells; ++i) {
+    if (!cell_subsumes(a.cell(i), b.cell(i))) return false;
   }
   return true;
 }
@@ -543,16 +636,16 @@ class Analyzer {
   // partner half degrades too (partial overwrite invalidates the spill).
   static void degrade_cell(AbsState& st, size_t i) {
     if (i >= kNumCells) return;
-    const Cell::Tag tag = st.cells[i].tag;
+    const Cell::Tag tag = st.cell(i).tag;
     if (tag == Cell::Tag::SpillLo && i + 1 < kNumCells &&
-        st.cells[i + 1].tag == Cell::Tag::SpillHi) {
-      st.cells[i + 1] = unknown_cell();
+        st.cell(i + 1).tag == Cell::Tag::SpillHi) {
+      st.set_cell(i + 1, unknown_cell());
     }
     if (tag == Cell::Tag::SpillHi && i > 0 &&
-        st.cells[i - 1].tag == Cell::Tag::SpillLo) {
-      st.cells[i - 1] = unknown_cell();
+        st.cell(i - 1).tag == Cell::Tag::SpillLo) {
+      st.set_cell(i - 1, unknown_cell());
     }
-    st.cells[i] = unknown_cell();
+    st.set_cell(i, unknown_cell());
   }
 
   static void clobber_cells(AbsState& st, int64_t abs_lo, int64_t abs_last,
@@ -567,8 +660,8 @@ class Analyzer {
   static RegState load_stack(const AbsState& st, int64_t abs, int size) {
     const auto i = static_cast<size_t>(abs / 4);
     if (size == 8 && abs % 8 == 0) {
-      const Cell& lo = st.cells[i];
-      const Cell& hi = st.cells[i + 1];
+      const Cell& lo = st.cell(i);
+      const Cell& hi = st.cell(i + 1);
       if (lo.tag == Cell::Tag::SpillLo && hi.tag == Cell::Tag::SpillHi) {
         return lo.spilled;  // fill restores the spilled register exactly
       }
@@ -578,7 +671,7 @@ class Analyzer {
       return RegState::scalar(ValueRange::unknown());
     }
     if (size <= 4 && abs / 4 == (abs + size - 1) / 4) {
-      const Cell& c = st.cells[i];
+      const Cell& c = st.cell(i);
       if (c.tag == Cell::Tag::Data) {
         if (size == 4) return RegState::scalar(c.v32);
         const auto sh = static_cast<uint64_t>(8 * (abs % 4));
@@ -601,22 +694,24 @@ class Analyzer {
     if (size == 8 && abs % 8 == 0) {
       degrade_cell(st, i);
       degrade_cell(st, i + 1);
-      st.cells[i] =
-          Cell{Cell::Tag::SpillLo, ValueRange::konst(0), RegState::scalar(v)};
-      st.cells[i + 1] = Cell{Cell::Tag::SpillHi, ValueRange::konst(0), {}};
+      st.set_cell(i, Cell{Cell::Tag::SpillLo, ValueRange::konst(0),
+                          RegState::scalar(v)});
+      st.set_cell(i + 1, Cell{Cell::Tag::SpillHi, ValueRange::konst(0), {}});
       return;
     }
     if (size == 8 && abs % 4 == 0) {
       degrade_cell(st, i);
       degrade_cell(st, i + 1);
-      st.cells[i] = data_cell(v.cast32());
-      st.cells[i + 1] = data_cell(
-          ValueRange::alu(Op::RshImm, v, ValueRange::konst(32)).cast32());
+      st.set_cell(i, data_cell(v.cast32()));
+      st.set_cell(i + 1,
+                  data_cell(ValueRange::alu(Op::RshImm, v,
+                                            ValueRange::konst(32))
+                                .cast32()));
       return;
     }
     if (size == 4 && abs % 4 == 0) {
       degrade_cell(st, i);
-      st.cells[i] = data_cell(v.cast32());
+      st.set_cell(i, data_cell(v.cast32()));
       return;
     }
     clobber_cells(st, abs, abs, size);  // sub-word or misaligned
@@ -626,6 +721,9 @@ class Analyzer {
 
   std::string step(size_t pc) {
     const Insn& in = prog_[pc];
+    // A copy: states_[pc] must stay the state before pc, which fail()
+    // reports for errors found at pc after it was stepped (a loop header's
+    // trip-bound and no-progress errors).
     AbsState out = states_[pc];
     auto& regs = out.regs;
 
@@ -834,10 +932,10 @@ class Analyzer {
             const auto i = static_cast<size_t>(abs_lo / 4);
             degrade_cell(out, i);
             degrade_cell(out, i + 1);
-            out.cells[i] = Cell{Cell::Tag::SpillLo, ValueRange::konst(0),
-                                regs[in.src]};
-            out.cells[i + 1] =
-                Cell{Cell::Tag::SpillHi, ValueRange::konst(0), {}};
+            out.set_cell(i, Cell{Cell::Tag::SpillLo, ValueRange::konst(0),
+                                 regs[in.src]});
+            out.set_cell(i + 1,
+                         Cell{Cell::Tag::SpillHi, ValueRange::konst(0), {}});
           } else {
             store_stack_scalar(out, abs_lo, size, regs[in.src].val);
           }
@@ -874,17 +972,17 @@ class Analyzer {
         if (auto e = require_init(in.dst); !e.empty()) return e;
         const RegState& d = regs[in.dst];
         if (d.kind == Kind::PtrMapValueOrNull && in.imm == 0) {
-          // Null-check refinement, as in the kernel verifier.
+          // Null-check refinement, as in the kernel verifier. `out`
+          // becomes the fall-through state once `taken` is copied.
           AbsState taken = out;
-          AbsState fall = out;
           const bool eq_means_null = (in.op == Op::JeqImm);
           const RegState nonnull{Kind::PtrMapValue, d.delta, d.map_slot,
                                  d.val};
           const RegState null_scalar = RegState::scalar(ValueRange::konst(0));
           taken.regs[in.dst] = eq_means_null ? null_scalar : nonnull;
-          fall.regs[in.dst] = eq_means_null ? nonnull : null_scalar;
+          out.regs[in.dst] = eq_means_null ? nonnull : null_scalar;
           propagate(pc, jump_target, taken);
-          propagate(pc, pc + 1, fall);
+          propagate(pc, pc + 1, out);
           return {};
         }
         if (d.kind != Kind::Scalar) {
@@ -910,14 +1008,13 @@ class Analyzer {
             regs[in.src].kind != Kind::Scalar) {
           return "conditional jump on non-scalar";
         }
-        AbsState taken = out;
-        AbsState fall = out;
+        AbsState taken = out;  // `out` is refined into the fall-through
         const bool t_ok = ValueRange::refine_branch(
             in.op, true, taken.regs[in.dst].val, taken.regs[in.src].val);
         const bool f_ok = ValueRange::refine_branch(
-            in.op, false, fall.regs[in.dst].val, fall.regs[in.src].val);
+            in.op, false, out.regs[in.dst].val, out.regs[in.src].val);
         if (t_ok) propagate(pc, jump_target, taken); else ++dead_edges_;
-        if (f_ok) propagate(pc, pc + 1, fall); else ++dead_edges_;
+        if (f_ok) propagate(pc, pc + 1, out); else ++dead_edges_;
         return {};
       }
 
@@ -936,9 +1033,10 @@ class Analyzer {
     return "unhandled opcode";
   }
 
-  std::string branch_imm(size_t pc, const Insn& in, const AbsState& cur) {
-    AbsState taken = cur;
-    AbsState fall = cur;
+  // `fall` is the pre-branch state; it is refined in place into the
+  // fall-through edge's state.
+  std::string branch_imm(size_t pc, const Insn& in, AbsState& fall) {
+    AbsState taken = fall;
     ValueRange imm_t = ValueRange::konst(static_cast<uint64_t>(in.imm));
     ValueRange imm_f = imm_t;
     const bool t_ok = ValueRange::refine_branch(in.op, true,

@@ -19,7 +19,6 @@
 // execution budget.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -62,31 +61,6 @@ struct RegState {
 };
 
 std::string to_string(const RegState& r);
-
-// The stack is tracked as 4-byte cells (the smallest granule the Hermes
-// programs address). An aligned 64-bit store of any register spills its
-// full RegState across a SpillLo/SpillHi pair — this is what lets both
-// pointers and *ranged scalars* round-trip through the stack.
-struct Cell {
-  enum class Tag : uint8_t { Data, SpillLo, SpillHi };
-  Tag tag = Tag::Data;
-  // Data: the 32-bit content; the VM zeroes the stack, so cells start as
-  // konst(0).
-  ValueRange v32 = ValueRange::konst(0);
-  RegState spilled{};  // SpillLo only
-
-  bool operator==(const Cell&) const = default;
-};
-
-inline constexpr size_t kNumCells = kStackSize / 4;
-
-struct AbsState {
-  std::array<RegState, kNumRegs> regs{};
-  std::array<Cell, kNumCells> cells{};
-  bool reachable = false;
-
-  bool operator==(const AbsState&) const = default;
-};
 
 struct AnalysisOptions {
   // Iterations within which a backward edge must become infeasible.

@@ -1303,7 +1303,7 @@ class Checker {
           return true;
         case XOp::Jmp: {
           const uint64_t t =
-              static_cast<uint64_t>(x.off) + x.len + static_cast<int64_t>(x.rel);
+              uint64_t{next_off} + static_cast<int64_t>(x.rel);
           if (!x.rel8) {
             *out = {OKind::Branch, t};
             return true;
@@ -1326,8 +1326,8 @@ class Checker {
             return err(k, "condition code outside the emitter's use");
           }
           if (taken) {
-            const uint64_t t = static_cast<uint64_t>(x.off) + x.len +
-                               static_cast<int64_t>(x.rel);
+            const uint64_t t =
+                uint64_t{next_off} + static_cast<int64_t>(x.rel);
             if (!x.rel8) {
               *out = {OKind::Branch, t};
               return true;

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "bpf/analysis/interp.h"
 #include "bpf/assembler.h"
 #include "bpf/maps.h"
 #include "bpf/vm.h"
@@ -22,6 +24,9 @@ class SpillTest : public ::testing::Test {
   }
 
   VerifyResult verify_prog(Program p) { return verify(p, maps_); }
+  analysis::AnalysisResult analyze_prog(Program p) {
+    return analysis::analyze(p, maps_);
+  }
 
   std::unique_ptr<ArrayMap> array_;
   std::unique_ptr<ReuseportSockArray> socks_;
@@ -161,6 +166,138 @@ TEST_F(SpillTest, PlainDataSlotsStillReadAsScalars) {
   a.exit();
   const auto res = verify_prog(a.finish());
   EXPECT_TRUE(res) << res.error;
+}
+
+// ---- stack cells the program has not touched ----
+//
+// The analyzer tracks only the cells a program has written; every other
+// cell reads as the VM's zeroed stack. These cases pin the edges of that
+// representation at the deepest slot (fp-512) with exact verdicts and
+// ranges.
+
+TEST_F(SpillTest, NeverWrittenDeepestSlotLoadsZero) {
+  for (const bool wide : {false, true}) {
+    Assembler a;
+    if (wide) {
+      a.ldx_dw(r0, r10, -512);
+    } else {
+      a.ldx_w(r0, r10, -512);
+    }
+    a.exit();
+    const auto res = analyze_prog(a.finish());
+    ASSERT_TRUE(res) << res.error;
+    EXPECT_EQ(analysis::to_string(res.ret), "const 0") << "wide=" << wide;
+  }
+}
+
+TEST_F(SpillTest, PointerSpilledAtDeepestSlotRoundTrips) {
+  Assembler a;
+  a.mov(r2, r10);
+  a.add(r2, -16);
+  a.stx_dw(r10, -512, r2);  // spill into the deepest aligned pair
+  a.mov(r2, 0);
+  a.ldx_dw(r3, r10, -512);  // fill: PtrStack(-16) again
+  a.st_w(r3, 0, 42);
+  a.ldx_w(r0, r10, -16);
+  a.exit();
+  const auto res = analyze_prog(a.finish());
+  ASSERT_TRUE(res) << res.error;
+  EXPECT_EQ(analysis::to_string(res.ret), "const 42 (0x2a)");
+}
+
+TEST_F(SpillTest, JoinWithUntouchedDeepSlotDegradesIt) {
+  // One path spills a pointer at fp-512; the other never touches it, so
+  // its cells are the implicit zeroes. The join must degrade the pair:
+  // the fill is an unknown scalar and dereferencing it is rejected.
+  Assembler a;
+  a.call(HelperId::GetPrandomU32);
+  a.mov(r2, r10);
+  a.add(r2, -16);
+  a.jeq(r0, 0, "join");
+  a.stx_dw(r10, -512, r2);
+  a.label("join");
+  a.ldx_dw(r3, r10, -512);
+  a.st_w(r3, 0, 1);
+  a.mov(r0, 0);
+  a.exit();
+  const auto res = analyze_prog(a.finish());
+  EXPECT_FALSE(res);
+  EXPECT_EQ(res.error, "memory access via non-pointer");
+  EXPECT_EQ(res.error_pc, 6u);
+  EXPECT_EQ(res.error_state,
+            "r0 = scalar{u[0,4294967295] s[0,4294967295] "
+            "tnum(v=0x0,m=0xffffffff)}\n"
+            "r2 = fp-16\n"
+            "r3 = scalar{u[0,18446744073709551615] "
+            "s[-9223372036854775808,9223372036854775807] "
+            "tnum(v=0x0,m=0xffffffffffffffff)}\n"
+            "r10 = fp+0\n");
+}
+
+TEST_F(SpillTest, VariableOffsetStoreClobbersUntouchedCells) {
+  // st_dw through fp-512 + [0, 56] (multiples of 8) may write any byte of
+  // fp-512 .. fp-449: every cell of that span becomes unknown; the first
+  // cell past it keeps its zero.
+  const std::string unknown32 =
+      "u[0,4294967295] s[0,4294967295] tnum(v=0x0,m=0xffffffff)";
+  const struct {
+    int32_t off;
+    std::string ret;
+  } kProbes[] = {{-512, unknown32}, {-480, unknown32}, {-452, unknown32},
+                 {-448, "const 0"}, {-8, "const 0"}};
+  for (const auto& [probe, want] : kProbes) {
+    Assembler a;
+    a.call(HelperId::GetPrandomU32);
+    a.and_(r0, 0x38);
+    a.mov(r2, r10);
+    a.add(r2, -512);
+    a.add(r2, r0);
+    a.st_dw(r2, 0, 7);
+    a.ldx_w(r0, r10, probe);
+    a.exit();
+    const auto res = analyze_prog(a.finish());
+    ASSERT_TRUE(res) << res.error;
+    EXPECT_EQ(analysis::to_string(res.ret), want) << "fp" << probe;
+  }
+}
+
+TEST_F(SpillTest, StoreToUntouchedSlotIsLoopProgress) {
+  // The header state has never touched fp-8; the first trip's back edge
+  // stores 7 there, which the implicit zero does not cover, so the
+  // fixpoint is found on the second trip, not the first.
+  Assembler a;
+  a.mov(r0, 0);
+  a.label("top");
+  a.st_w(r10, -8, 7);
+  a.jeq(r0, 0, "top");
+  a.exit();
+  const auto res = analyze_prog(a.finish());
+  EXPECT_FALSE(res);
+  EXPECT_EQ(res.error,
+            "backward edge: loop makes no abstract progress toward exit "
+            "(fixpoint at the header)");
+  EXPECT_EQ(res.error_pc, 1u);
+  EXPECT_EQ(res.analysis_steps, 5u);  // pc 0, then two trips of pcs 1-2
+  EXPECT_EQ(res.error_state, "r0 = scalar{const 0}\nr1 = ctx+0\nr10 = fp+0\n");
+}
+
+TEST_F(SpillTest, LoopWritingOneSlotDeeperPerTripIsAccepted) {
+  // Each trip stores one slot deeper, down to fp-512: the tracked span
+  // grows with the iteration count.
+  Assembler a;
+  a.mov(r6, r10);
+  a.mov(r7, 0);
+  a.label("top");
+  a.st_dw(r6, -8, 1);
+  a.add(r6, -8);
+  a.add(r7, 1);
+  a.jlt(r7, 64, "top");
+  a.ldx_dw(r0, r10, -512);
+  a.exit();
+  const auto res = analyze_prog(a.finish());
+  ASSERT_TRUE(res) << res.error;
+  EXPECT_EQ(res.max_loop_trips, 64u);
+  EXPECT_EQ(analysis::to_string(res.ret), "const 1");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "bpf/assembler.h"
 #include "bpf/maps.h"
@@ -384,16 +385,15 @@ TEST_F(VmTest, MapUpdateHelperWritesArray) {
 // the host CPU's semantics.
 struct AluCase {
   using Eval = uint64_t (*)(uint64_t, uint64_t);
-  AluCase(Op o, const char* n, Eval e) : op(o), name(n), eval(e) {}
-
   Op op;
-  // gtest names each case by dumping the parameter's raw bytes. Spelling
-  // the padding out as zeroed bytes keeps those names the same on every
-  // run; implicit padding would carry whatever was on the stack.
-  uint8_t zero_pad[7] = {};
   const char* name;
   Eval eval;
 };
+
+// gtest prints each case's parameter into its registered name; without
+// this it would dump the raw struct bytes, pointers included, and the
+// names would move whenever the binary is relinked.
+void PrintTo(const AluCase& c, std::ostream* os) { *os << c.name; }
 
 class VmAluSweep : public ::testing::TestWithParam<AluCase> {};
 
@@ -446,8 +446,8 @@ INSTANTIATE_TEST_SUITE_P(
                   return static_cast<uint64_t>(static_cast<int64_t>(x) >>
                                                (y & 63));
                 }}),
-    [](const ::testing::TestParamInfo<AluCase>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<AluCase>& param_info) {
+      return param_info.param.name;
     });
 
 }  // namespace
