@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < n; ++i) {
       rt.add_rule({.host = "t" + std::to_string(i) + ".example.com",
                    .path_prefix = "/",
+                   .method = std::nullopt,
                    .backend_pool = static_cast<uint32_t>(i)});
     }
     http::Request req;

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 
 #include "netsim/connection.h"
+#include "simcore/ring_queue.h"
 #include "util/check.h"
 
 namespace hermes::netsim {
@@ -51,7 +51,7 @@ class AcceptQueue {
 
  private:
   size_t backlog_;
-  std::deque<Connection> queue_;
+  sim::RingQueue<Connection> queue_;  // grows to its peak depth, then stays
   uint64_t dropped_ = 0;
   size_t high_watermark_ = 0;
 };

@@ -96,15 +96,11 @@ DataPlane::DataPlane(const Config& cfg, uint32_t num_workers,
   rr_.update_backends(std::move(backends), cfg_.seed);
 }
 
-DataPlane::ConnCtx& DataPlane::ctx(netsim::ConnId id) {
-  auto it = conns_.find(id);
-  if (it == conns_.end()) {
-    http::ConnState::Config cc;
-    cc.zero_copy = cfg_.zero_copy;
-    cc.capture_body = false;  // bodies travel only in the wire chain
-    it = conns_.try_emplace(id, cc).first;
-  }
-  return it->second;
+http::ConnState::Config DataPlane::conn_config() const {
+  http::ConnState::Config cc;
+  cc.zero_copy = cfg_.zero_copy;
+  cc.capture_body = false;  // bodies travel only in the wire chain
+  return cc;
 }
 
 void DataPlane::sync_pool_stats(WorkerId w) {
@@ -122,10 +118,9 @@ void DataPlane::sync_pool_stats(WorkerId w) {
   m.pool_occupancy->set(static_cast<int64_t>(pool_.idle_total()));
 }
 
-SimTime DataPlane::on_request(WorkerId w, const Request& req,
+SimTime DataPlane::on_request(WorkerId w, ConnCtx& c, const Request& req,
                               bool last_on_conn, SimTime now) {
   if (w >= num_workers_) w = 0;  // unowned yet: account to worker 0
-  ConnCtx& c = ctx(req.conn);
 
   synth_request_wire(req, last_on_conn, &scratch_);
   c.cs.on_client_data(std::string_view{scratch_});
@@ -171,11 +166,9 @@ SimTime DataPlane::on_request(WorkerId w, const Request& req,
   return byte_cost + (pooled ? SimTime{} : cfg_.backend_handshake_cost);
 }
 
-void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
+void DataPlane::on_response(WorkerId w, ConnCtx& c, const Request& req,
+                            SimTime now) {
   if (w >= num_workers_) w = 0;
-  auto cit = conns_.find(req.conn);
-  if (cit == conns_.end()) return;  // closed mid-flight
-  ConnCtx& c = cit->second;
 
   http::Response resp;
   resp.set_status(200);
@@ -213,16 +206,6 @@ void DataPlane::on_response(WorkerId w, const Request& req, SimTime now) {
   c.pending.erase(pit);
   totals_.pool_evictions = pool_.stats().evictions;
   sync_pool_stats(w);
-}
-
-void DataPlane::on_conn_close(netsim::ConnId id) {
-  conns_.erase(id);
-}
-
-size_t DataPlane::in_flight() const {
-  size_t n = 0;
-  for (const auto& [id, c] : conns_) n += c.pending.size();
-  return n;
 }
 
 }  // namespace hermes::sim

@@ -16,6 +16,10 @@
 // plane chains a stream checksum (IoChain::checksum) over each direction
 // so benches and tests can assert it.
 //
+// The data plane keeps no per-connection table of its own: each
+// connection's ConnCtx lives in its LB's connection store
+// (sim/conn_store.h) and is passed in by the caller.
+//
 // Disabled by default (Config::enabled=false): every pre-existing bench
 // and test runs byte-identically with the data plane compiled in.
 #pragma once
@@ -23,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/backend_pool.h"
@@ -73,40 +76,14 @@ class DataPlane {
     uint64_t client_stream_hash = netsim::IoChain::kChecksumSeed;
   };
 
-  DataPlane(const Config& cfg, uint32_t num_workers, obs::Observability* obs);
-
-  // Client request admitted on `req.conn`, to be served by worker `w`.
-  // Synthesizes + parses + forwards the request's wire bytes. Returns
-  // the extra service cost (backend handshake on a pool miss).
-  SimTime on_request(WorkerId w, const Request& req, bool last_on_conn,
-                     SimTime now);
-
-  // Request served: encode the backend response and egress it.
-  void on_response(WorkerId w, const Request& req, SimTime now);
-
-  void on_conn_close(netsim::ConnId id);
-
-  const Totals& totals() const { return totals_; }
-  const Config& config() const { return cfg_; }
-  const core::BackendConnectionPool& pool() const { return pool_; }
-  size_t live_conn_states() const { return conns_.size(); }
-  // Requests forwarded whose response has not egressed yet; a connection
-  // closed mid-flight drops its request's backend lease with it.
-  size_t in_flight() const;
-
-  // Builds the deterministic wire form for a request / its response —
-  // shared with bench/proxy_path so micro and sim legs agree.
-  static void synth_request_wire(const Request& req, bool last_on_conn,
-                                 std::string* out);
-  static void synth_response_body(const Request& req, std::string* out);
-
- private:
   // The backend lease of a request between on_request and on_response.
   struct Pending {
     RequestId req = 0;
     core::BackendId backend = 0;
     uint64_t pooled_id = 0;  // 0 = freshly established
   };
+  // One client connection's HTTP state. Destroying it with requests still
+  // in flight drops their backend leases.
   struct ConnCtx {
     http::ConnState cs;
     // In request order; more than one only under a request burst
@@ -116,7 +93,31 @@ class DataPlane {
     explicit ConnCtx(const http::ConnState::Config& c) : cs(c) {}
   };
 
-  ConnCtx& ctx(netsim::ConnId id);
+  DataPlane(const Config& cfg, uint32_t num_workers, obs::Observability* obs);
+
+  // The ConnState configuration every ConnCtx of this data plane uses.
+  http::ConnState::Config conn_config() const;
+
+  // Client request admitted on connection `c`, to be served by worker `w`.
+  // Synthesizes + parses + forwards the request's wire bytes. Returns
+  // the extra service cost (backend handshake on a pool miss).
+  SimTime on_request(WorkerId w, ConnCtx& c, const Request& req,
+                     bool last_on_conn, SimTime now);
+
+  // Request served: encode the backend response and egress it on `c`.
+  void on_response(WorkerId w, ConnCtx& c, const Request& req, SimTime now);
+
+  const Totals& totals() const { return totals_; }
+  const Config& config() const { return cfg_; }
+  const core::BackendConnectionPool& pool() const { return pool_; }
+
+  // Builds the deterministic wire form for a request / its response —
+  // shared with bench/proxy_path so micro and sim legs agree.
+  static void synth_request_wire(const Request& req, bool last_on_conn,
+                                 std::string* out);
+  static void synth_response_body(const Request& req, std::string* out);
+
+ private:
   void sync_pool_stats(WorkerId w);
 
   Config cfg_;
@@ -125,7 +126,6 @@ class DataPlane {
   core::RoundRobinBackends rr_;
   core::BackendConnectionPool pool_;
   core::BackendConnectionPool::Stats pool_seen_{};  // last obs-synced stats
-  std::unordered_map<netsim::ConnId, ConnCtx> conns_;
   std::string scratch_;
   Totals totals_;
 };

@@ -19,7 +19,10 @@ netsim::NetStack::Config netstack_config(const LbDevice::Config& cfg) {
 }  // namespace
 
 LbDevice::LbDevice(Config cfg)
-    : cfg_(cfg), rng_(cfg.seed), ns_(netstack_config(cfg)) {
+    : cfg_(cfg),
+      rng_(cfg.seed),
+      ns_(netstack_config(cfg)),
+      conns_(/*with_http=*/cfg.data_plane.enabled) {
   if (cfg_.observability) {
     obs_ = std::make_unique<obs::Observability>(cfg_.num_workers,
                                                 cfg_.trace_ring_capacity);
@@ -169,13 +172,19 @@ size_t LbDevice::open_tuple_burst(TenantId tenant, const ConnPlan& plan,
   for (const netsim::Connection conn : burst_views_) {
     if (!conn) continue;
     ++totals_.conns_opened;
-    LiveConn lc;
-    lc.conn = conn;
-    lc.plan = plan;
-    lc.syn_time = eq_.now();
-    conns_.emplace(conn.id(), std::move(lc));
+    add_conn(conn, plan, eq_.now());
   }
   return established;
+}
+
+LbDevice::LiveConn& LbDevice::add_conn(netsim::Connection conn,
+                                       const ConnPlan& plan,
+                                       SimTime syn_time) {
+  LiveConn& lc = conns_.insert(conn.slot(), conn.id());
+  lc.conn = conn;
+  lc.plan = plan;
+  lc.syn_time = syn_time;
+  return lc;
 }
 
 netsim::ConnId LbDevice::open_connection_attempt(TenantId tenant,
@@ -213,14 +222,8 @@ netsim::ConnId LbDevice::open_connection_attempt(TenantId tenant,
     return 0;
   }
   ++totals_.conns_opened;
-
-  LiveConn lc;
-  lc.conn = conn;
-  lc.plan = std::move(plan);
-  lc.syn_time = first_syn;  // latency clock starts at the original SYN
-  const netsim::ConnId id = conn.id();
-  conns_.emplace(id, std::move(lc));
-  return id;
+  add_conn(conn, plan, first_syn);  // latency clock starts at the original SYN
+  return conn.id();
 }
 
 LbDevice::ConnPlan LbDevice::plan_from_pattern(const TrafficPattern& p,
@@ -246,17 +249,22 @@ void LbDevice::start_pattern(const TrafficPattern& pattern,
                              TenantId first_tenant, uint32_t tenant_span,
                              SimTime until) {
   HERMES_CHECK(pattern.cps > 0 && tenant_span > 0);
+  const PatternSource* src = pattern_sources_
+                                 .emplace_back(std::make_unique<PatternSource>(
+                                     PatternSource{pattern, first_tenant,
+                                                   tenant_span, until}))
+                                 .get();
   // Poisson arrivals: schedule one arrival; each arrival re-arms a copy of
   // itself (Rearming — see event_queue.h for why not a shared_ptr closure).
-  Rearming arrival(
-      [this, pattern, first_tenant, tenant_span, until](auto& self) {
-        if (eq_.now() > until) return;
-        const TenantId tenant =
-            first_tenant + static_cast<TenantId>(rng_.next_below(tenant_span));
-        open_connection(tenant, plan_from_pattern(pattern, tenant));
-        const double gap_s = rng_.exponential(1.0 / pattern.cps);
-        eq_.schedule_after(SimTime::from_seconds_f(gap_s), self);
-      });
+  Rearming arrival([this, src](auto& self) {
+    if (eq_.now() > src->until) return;
+    const TenantId tenant =
+        src->first_tenant +
+        static_cast<TenantId>(rng_.next_below(src->tenant_span));
+    open_connection(tenant, plan_from_pattern(src->pattern, tenant));
+    const double gap_s = rng_.exponential(1.0 / src->pattern.cps);
+    eq_.schedule_after(SimTime::from_seconds_f(gap_s), self);
+  });
   eq_.schedule_after(
       SimTime::from_seconds_f(rng_.exponential(1.0 / pattern.cps)), arrival);
 }
@@ -266,27 +274,28 @@ void LbDevice::start_tenant_mix(const TenantModel& tm, double total_cps,
                                 SimTime until) {
   // One Poisson process; each arrival draws a tenant by Zipf rank, and the
   // tenant's case decides the connection's plan.
-  auto zipf = std::make_shared<ZipfSampler>(tm.num_tenants, tm.zipf_skew);
-  auto patterns = std::make_shared<std::vector<TrafficPattern>>();
-  for (int c = 1; c <= 4; ++c) {
-    patterns->push_back(case_pattern(c, workers_scale, load));
-  }
   const double cps = total_cps * load;
-  Rearming arrival([this, tm, zipf, patterns, cps, until](auto& self) {
-    if (eq_.now() > until) return;
-    const TenantId tenant = zipf->sample(rng_);
-    const TrafficPattern& p = (*patterns)[tm.tenant_case[tenant] - 1];
+  MixSource* src =
+      mix_sources_.emplace_back(std::make_unique<MixSource>(tm, cps, until))
+          .get();
+  for (int c = 1; c <= 4; ++c) {
+    src->patterns.push_back(case_pattern(c, workers_scale, load));
+  }
+  Rearming arrival([this, src](auto& self) {
+    if (eq_.now() > src->until) return;
+    const TenantId tenant = src->zipf.sample(rng_);
+    const TrafficPattern& p = src->patterns[src->tm.tenant_case[tenant] - 1];
     open_connection(tenant, plan_from_pattern(p, tenant));
-    eq_.schedule_after(SimTime::from_seconds_f(rng_.exponential(1.0 / cps)),
-                       self);
+    eq_.schedule_after(
+        SimTime::from_seconds_f(rng_.exponential(1.0 / src->cps)), self);
   });
   eq_.schedule_after(SimTime::from_seconds_f(rng_.exponential(1.0 / cps)),
                      arrival);
 }
 
 void LbDevice::burst_all_connections(const DistSpec& cost_us, int k) {
-  for (auto& [id, lc] : conns_) {
-    if (lc.conn.state() != netsim::ConnState::Accepted) continue;
+  conns_.for_each([&](uint32_t, LiveConn& lc) {
+    if (lc.conn.state() != netsim::ConnState::Accepted) return;
     lc.plan.remaining += k;
     for (int i = 0; i < k; ++i) {
       Request req = make_request(lc, eq_.now());
@@ -294,7 +303,7 @@ void LbDevice::burst_all_connections(const DistSpec& cost_us, int k) {
       ++totals_.requests_generated;
       workers_[lc.conn.owner()]->deliver_request(req);
     }
-  }
+  });
 }
 
 uint64_t LbDevice::inject_core_probe(WorkerId w, SimTime cost) {
@@ -311,14 +320,14 @@ uint64_t LbDevice::inject_core_probe(WorkerId w, SimTime cost) {
 
 uint64_t LbDevice::close_fraction(double fraction) {
   if (fraction <= 0) return 0;
-  std::vector<netsim::ConnId> victims;
-  for (auto& [id, lc] : conns_) {
+  std::vector<uint32_t> victims;
+  conns_.for_each([&](uint32_t slot, const LiveConn& lc) {
     if (lc.conn.state() == netsim::ConnState::Accepted &&
         rng_.bernoulli(fraction)) {
-      victims.push_back(id);
+      victims.push_back(slot);
     }
-  }
-  for (netsim::ConnId id : victims) close_conn(id);
+  });
+  for (uint32_t slot : victims) close_conn(slot);
   return victims.size();
 }
 
@@ -328,42 +337,44 @@ void LbDevice::close_all() {
   for (WorkerId w = 0; w < cfg_.num_workers; ++w) {
     for (netsim::ListeningSocket* sock : ns_.sockets_of(w)) {
       while (const netsim::Connection conn = sock->accept_queue().pop()) {
-        conns_.erase(conn.id());
+        HERMES_DCHECK(conns_.id_at(conn.slot()) == conn.id());
+        conns_.erase(conn.slot());
         ns_.close(conn);
       }
     }
   }
-  std::vector<netsim::ConnId> accepted;
+  std::vector<uint32_t> accepted;
   accepted.reserve(conns_.size());
-  for (const auto& [id, lc] : conns_) accepted.push_back(id);
-  for (netsim::ConnId id : accepted) close_conn(id);
+  conns_.for_each(
+      [&](uint32_t slot, const LiveConn&) { accepted.push_back(slot); });
+  for (uint32_t slot : accepted) close_conn(slot);
 }
 
 void LbDevice::run_degradation_sweep() {
   if (!hermes_ || !degradation_) return;
   for (WorkerId w = 0; w < cfg_.num_workers; ++w) {
     if (!degradation_->should_degrade(hermes_->wst(), w, eq_.now())) continue;
-    // Collect the hung worker's connections.
-    std::vector<uint64_t> ids;
-    for (auto& [id, lc] : conns_) {
+    // Collect the hung worker's connections (by slot, in slot order).
+    std::vector<uint64_t> slots;
+    conns_.for_each([&](uint32_t slot, const LiveConn& lc) {
       if (lc.conn.owner() == w &&
           lc.conn.state() == netsim::ConnState::Accepted) {
-        ids.push_back(id);
+        slots.push_back(slot);
       }
-    }
-    const auto resets = degradation_->pick_resets(ids, degradation_salt_++);
+    });
+    const auto resets = degradation_->pick_resets(slots, degradation_salt_++);
     degradation_->stats().degradations += resets.empty() ? 0 : 1;
-    for (uint64_t id : resets) {
+    for (uint64_t s : resets) {
       // RST: the client reconnects immediately; remaining requests carry
       // over to the new connection, which the (healthy-workers) bitmap
-      // dispatch will place elsewhere.
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      ConnPlan plan = it->second.plan;
+      // dispatch will place elsewhere. The reconnect can only take the slot
+      // just freed, which is not visited again.
+      const auto slot = static_cast<uint32_t>(s);
+      ConnPlan plan = conns_.at(slot).plan;
       const TenantId tenant = plan.tenant;
       ++totals_.degradation_resets;
       degradation_->stats().resets++;
-      close_conn(id);
+      close_conn(slot);
       if (plan.remaining > 0) open_connection(tenant, std::move(plan));
     }
   }
@@ -415,6 +426,7 @@ Request LbDevice::make_request(LiveConn& lc, SimTime arrival) {
   Request req;
   req.id = next_req_++;
   req.conn = lc.conn.id();
+  req.slot = lc.conn.slot();
   req.tenant = lc.plan.tenant;
   req.arrival = arrival;
   if (lc.plan.poison_fraction > 0 && rng_.bernoulli(lc.plan.poison_fraction)) {
@@ -428,16 +440,18 @@ Request LbDevice::make_request(LiveConn& lc, SimTime arrival) {
     // Byte-level proxy path: synthesize + parse + forward the request's
     // actual wire bytes; a backend-pool miss charges the handshake.
     const bool last_on_conn = lc.plan.remaining <= 1;
-    req.cost = req.cost + dp_->on_request(lc.conn.owner(), req, last_on_conn,
-                                          eq_.now());
+    std::optional<DataPlane::ConnCtx>& http = conns_.http(req.slot);
+    if (!http) http.emplace(dp_->conn_config());
+    req.cost = req.cost + dp_->on_request(lc.conn.owner(), *http, req,
+                                          last_on_conn, eq_.now());
   }
   return req;
 }
 
 void LbDevice::on_accepted(Worker& w, netsim::Connection conn) {
-  auto it = conns_.find(conn.id());
-  if (it == conns_.end()) return;  // closed while queued (shouldn't happen)
-  LiveConn& lc = it->second;
+  LiveConn* found = conns_.find(conn.slot(), conn.id());
+  if (found == nullptr) return;  // closed while queued (shouldn't happen)
+  LiveConn& lc = *found;
   if (!lc.first_delivered) {
     lc.first_delivered = true;
     // The client's first request was already on the wire: its latency clock
@@ -462,8 +476,8 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
   }
   if (request_done_) request_done_(req.tenant, latency);
 
-  auto it = conns_.find(req.conn);
-  if (it == conns_.end()) {
+  LiveConn* found = conns_.find(req.slot, req.conn);
+  if (found == nullptr) {
     if (req.conn >= kProbeConnBase) {  // synthetic per-core probe
       probe_latency_.record(latency);
       if (latency > SimTime::millis(200)) ++delayed_probes_;
@@ -471,50 +485,57 @@ void LbDevice::on_request_done(Worker& w, const Request& req) {
     }
     return;
   }
-  LiveConn& lc = it->second;
+  LiveConn& lc = *found;
   if (lc.plan.is_probe) {
     probe_latency_.record(latency);
     if (latency > SimTime::millis(200)) ++delayed_probes_;
     if (probe_done_) probe_done_(req.conn, latency);
   }
-  if (dp_) dp_->on_response(w.id(), req, eq_.now());
+  if (dp_) dp_->on_response(w.id(), *conns_.http(req.slot), req, eq_.now());
   lc.plan.remaining -= 1;
   if (lc.plan.remaining <= 0) {
     w.note_conn_closed();
     const netsim::Connection conn = lc.conn;
-    if (dp_) dp_->on_conn_close(req.conn);
-    conns_.erase(it);
+    conns_.erase(req.slot);
     ns_.close(conn);
     return;
   }
   // Schedule the next request on this connection after the think gap.
   const SimTime gap =
       SimTime::from_seconds_f(lc.plan.gap_us.sample(rng_) / 1e6);
-  const netsim::ConnId id = req.conn;
-  eq_.schedule_after(gap, [this, id] {
-    auto cit = conns_.find(id);
-    if (cit == conns_.end()) return;  // reset by degradation meanwhile
-    LiveConn& c = cit->second;
-    if (c.conn.state() != netsim::ConnState::Accepted) return;
-    Request next = make_request(c, eq_.now());
+  eq_.schedule_after(gap, [this, id = req.conn, slot = req.slot] {
+    LiveConn* c = conns_.find(slot, id);
+    if (c == nullptr) return;  // reset by degradation meanwhile
+    if (c->conn.state() != netsim::ConnState::Accepted) return;
+    Request next = make_request(*c, eq_.now());
     ++totals_.requests_generated;
-    workers_[c.conn.owner()]->deliver_request(next);
+    workers_[c->conn.owner()]->deliver_request(next);
   });
 }
 
-void LbDevice::close_conn(netsim::ConnId id) {
-  auto it = conns_.find(id);
-  if (it == conns_.end()) return;
-  const netsim::Connection conn = it->second.conn;
+void LbDevice::close_conn(uint32_t slot) {
+  const netsim::Connection conn = conns_.at(slot).conn;
   // Closing a still-queued connection would leave a stale view in its
   // accept queue; callers only shed Accepted connections.
   HERMES_CHECK(conn.state() == netsim::ConnState::Accepted);
   if (conn.owner() != kInvalidWorker) {
     workers_[conn.owner()]->note_conn_closed();
   }
-  if (dp_) dp_->on_conn_close(id);
-  conns_.erase(it);
+  conns_.erase(slot);  // drops the data plane's state and leases with it
   ns_.close(conn);
+}
+
+size_t LbDevice::http_conn_states() const {
+  size_t n = 0;
+  conns_.for_each_http([&n](const DataPlane::ConnCtx&) { ++n; });
+  return n;
+}
+
+size_t LbDevice::http_in_flight() const {
+  size_t n = 0;
+  conns_.for_each_http(
+      [&n](const DataPlane::ConnCtx& c) { n += c.pending.size(); });
+  return n;
 }
 
 }  // namespace hermes::sim

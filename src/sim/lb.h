@@ -6,13 +6,13 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/degradation.h"
 #include "core/hermes.h"
 #include "core/rate_limit.h"
 #include "netsim/netstack.h"
+#include "sim/conn_store.h"
 #include "sim/data_plane.h"
 #include "obs/observability.h"
 #include "simcore/event_queue.h"
@@ -129,6 +129,11 @@ class LbDevice {
   void start_tenant_mix(const TenantModel& tm, double total_cps,
                         uint32_t workers_scale, double load, SimTime until);
 
+  // The whole-device sweeps below (burst_all_connections, close_fraction,
+  // close_all, run_degradation_sweep) visit connections in ascending
+  // ConnSlab slot order (sim/conn_store.h), which fixes the order of
+  // their RNG draws.
+
   // Deliver `k` extra requests on every live connection right now — the
   // synchronized surge of Fig. 3.
   void burst_all_connections(const DistSpec& cost_us, int k);
@@ -179,6 +184,12 @@ class LbDevice {
   Histogram& probe_latency() { return probe_latency_; }
   uint64_t delayed_probes() const { return delayed_probes_; }
   uint64_t live_connections() const { return conns_.size(); }
+  // Data-plane connection states alive, and requests forwarded to a
+  // backend whose response has not egressed yet (0 without the data plane).
+  size_t http_conn_states() const;
+  size_t http_in_flight() const;
+  // Chunks of the slot-indexed connection store allocated so far.
+  size_t conn_store_chunks() const { return conns_.chunk_count(); }
 
   // Periodic sampling for Fig. 13 / Table 2: per-sample SD of worker CPU
   // utilization and of per-worker connection counts.
@@ -208,16 +219,39 @@ class LbDevice {
     bool first_delivered = false;
   };
 
+  // The state of a start_pattern / start_tenant_mix arrival process. Its
+  // arrival events capture only [this, source], which fits an event
+  // record inline.
+  struct PatternSource {
+    TrafficPattern pattern;
+    TenantId first_tenant = 0;
+    uint32_t tenant_span = 1;
+    SimTime until{};
+  };
+  struct MixSource {
+    MixSource(const TenantModel& model, double rate, SimTime end)
+        : tm(model),
+          zipf(model.num_tenants, model.zipf_skew),
+          cps(rate),
+          until(end) {}
+    TenantModel tm;
+    ZipfSampler zipf;
+    std::vector<TrafficPattern> patterns;  // cases 1..4
+    double cps;
+    SimTime until;
+  };
+
   netsim::ConnId open_connection_attempt(TenantId tenant, ConnPlan plan,
                                          SimTime first_syn, int attempt);
+  LiveConn& add_conn(netsim::Connection conn, const ConnPlan& plan,
+                     SimTime syn_time);
 
   PortId port_of(TenantId tenant) const {
     return static_cast<PortId>(cfg_.first_port + tenant % cfg_.num_ports);
   }
   void on_accepted(Worker& w, netsim::Connection conn);
   void on_request_done(Worker& w, const Request& req);
-  void deliver(LiveConn& lc, SimTime arrival, bool first);
-  void close_conn(netsim::ConnId id);
+  void close_conn(uint32_t slot);
   Request make_request(LiveConn& lc, SimTime arrival);
 
   Config cfg_;
@@ -235,7 +269,9 @@ class LbDevice {
   std::vector<std::unique_ptr<Worker>> workers_;
 
   static constexpr netsim::ConnId kProbeConnBase = 1ull << 62;
-  std::unordered_map<netsim::ConnId, LiveConn> conns_;
+  ConnStore<LiveConn, DataPlane::ConnCtx> conns_;
+  std::vector<std::unique_ptr<PatternSource>> pattern_sources_;
+  std::vector<std::unique_ptr<MixSource>> mix_sources_;
   std::vector<netsim::Connection> burst_views_;  // burst admit scratch
   RequestId next_req_ = 1;
   netsim::ConnId next_probe_id_ = kProbeConnBase;

@@ -15,11 +15,18 @@ namespace hermes::sim {
 
 using RequestId = uint64_t;
 
+// Request::slot of a request that belongs to no connection (per-core probes).
+inline constexpr uint32_t kNoConnSlot = 0xffffffffu;
+
 // One application-layer request to be processed by a worker.
 struct Request {
   RequestId id = 0;
   netsim::ConnId conn = 0;
   TenantId tenant = 0;
+  // The connection's ConnSlab slot (netsim::Connection::slot()): the key
+  // of the LB's per-connection store. `conn` tells a live occupant from a
+  // later connection that reused the slot.
+  uint32_t slot = kNoConnSlot;
   SimTime arrival{};     // when it reached the kernel (SYN time for the
                          // first request of a connection)
   SimTime cost{};        // CPU time the worker will spend on it
@@ -27,6 +34,7 @@ struct Request {
                          // scales service time (DataPlane per_byte_cost)
   bool is_poison = false;  // hang-inducing (stuck edge-triggered read)
 };
+static_assert(sizeof(Request) == 56, "slot must sit in Request's padding");
 
 // What a worker pulled out of epoll_wait: either a new-connection event on
 // a listening socket or a request on an established connection.

@@ -1,5 +1,6 @@
 #include "sim/worker.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -9,6 +10,7 @@ namespace hermes::sim {
 Worker::Worker(Config cfg, EventQueue& eq, netsim::NetStack& ns, Host host,
                core::HermesRuntime* hermes)
     : cfg_(cfg), eq_(eq), ns_(ns), host_(std::move(host)), hermes_(hermes) {
+  batch_.reserve(static_cast<size_t>(std::max(cfg_.max_batch, 0)));
   if (hermes_ != nullptr) {
     hooks_.emplace(hermes_->hooks_for(cfg_.id));
   }
@@ -82,11 +84,10 @@ size_t Worker::collect_batch() {
   // Connection events first (they were triggered earlier in real time).
   while (!pending_requests_.empty() &&
          n < static_cast<size_t>(cfg_.max_batch)) {
-    WorkerEvent ev;
+    WorkerEvent& ev = batch_.emplace_back();
     ev.kind = WorkerEvent::Kind::Request;
     ev.request = pending_requests_.front();
     pending_requests_.pop_front();
-    batch_.push_back(ev);
     ++n;
   }
   // One accept per ready listening socket per iteration (Fig. A1's
@@ -95,10 +96,9 @@ size_t Worker::collect_batch() {
   for (netsim::ListeningSocket* sock : sockets_) {
     if (n >= static_cast<size_t>(cfg_.max_batch)) break;
     if (!sock->accept_queue().empty()) {
-      WorkerEvent ev;
+      WorkerEvent& ev = batch_.emplace_back();
       ev.kind = WorkerEvent::Kind::Accept;
       ev.socket = sock;
-      batch_.push_back(ev);
       ++n;
     }
   }
@@ -130,30 +130,32 @@ void Worker::start_iteration() {
 }
 
 void Worker::process_next() {
-  if (batch_.empty()) {
+  if (batch_pos_ == batch_.size()) {
+    batch_.clear();
+    batch_pos_ = 0;
     end_iteration();
     return;
   }
-  WorkerEvent ev = batch_.front();
-  batch_.pop_front();
+  current_ = batch_[batch_pos_++];
 
-  SimTime cost = ev.kind == WorkerEvent::Kind::Accept ? cfg_.accept_cost
-                                                      : ev.request.cost;
+  SimTime cost = current_.kind == WorkerEvent::Kind::Accept
+                     ? cfg_.accept_cost
+                     : current_.request.cost;
   if (cfg_.speed != 1.0) {
     cost = SimTime{static_cast<int64_t>(
         std::llround(static_cast<double>(cost.ns()) / cfg_.speed))};
   }
   busy_time_ += cost;
   event_proc_time_.record(cost);
-  eq_.schedule_after(cost, [this, ev = std::move(ev)]() mutable {
-    finish_event(std::move(ev));
-  });
+  eq_.schedule_after(cost, [this] { finish_event(); });
 }
 
-void Worker::finish_event(WorkerEvent ev) {
+// current_ stays untouched until process_next() below, so host callbacks
+// may read the request through the reference they are given.
+void Worker::finish_event() {
   if (hooks_) hooks_->on_event_processed();
-  if (ev.kind == WorkerEvent::Kind::Accept) {
-    const netsim::Connection conn = ns_.accept(*ev.socket, cfg_.id);
+  if (current_.kind == WorkerEvent::Kind::Accept) {
+    const netsim::Connection conn = ns_.accept(*current_.socket, cfg_.id);
     if (conn) {  // may have been drained by a sibling (herd)
       ++accepts_done_;
       ++live_conns_;
@@ -162,7 +164,7 @@ void Worker::finish_event(WorkerEvent ev) {
     }
   } else {
     ++requests_done_;
-    if (host_.on_request_done) host_.on_request_done(*this, ev.request);
+    if (host_.on_request_done) host_.on_request_done(*this, current_.request);
   }
   process_next();
 }

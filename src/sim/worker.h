@@ -15,15 +15,15 @@
 // goes stale — which is precisely how production hangs look to Hermes.
 #pragma once
 
-#include <deque>
-#include <optional>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/hermes.h"
 #include "netsim/netstack.h"
 #include "simcore/event_queue.h"
 #include "simcore/histogram.h"
+#include "simcore/ring_queue.h"
 #include "sim/request.h"
 
 namespace hermes::sim {
@@ -114,7 +114,7 @@ class Worker final : public netsim::Waiter {
   void on_timeout();
   void start_iteration();
   void process_next();
-  void finish_event(WorkerEvent ev);
+  void finish_event();
   void end_iteration();
   size_t collect_batch();
 
@@ -126,8 +126,12 @@ class Worker final : public netsim::Waiter {
   std::optional<core::EventLoopHooks> hooks_;
 
   std::vector<netsim::ListeningSocket*> sockets_;
-  std::deque<Request> pending_requests_;  // conn events not yet in a batch
-  std::deque<WorkerEvent> batch_;
+  // Both queues keep their capacity, so a warmed-up loop allocates nothing.
+  RingQueue<Request> pending_requests_;  // conn events not yet in a batch
+  std::vector<WorkerEvent> batch_;       // this iteration's epoll_wait result
+  size_t batch_pos_ = 0;                 // next batch_ entry to process
+  WorkerEvent current_;                  // the event being processed; its
+                                         // completion event captures [this]
 
   State state_ = State::Running;  // until start()
   EventQueue::Handle timeout_handle_{};

@@ -6,13 +6,16 @@
 // tie-break), so runs are exactly reproducible for a given seed.
 //
 // EventQueue is a hierarchical timing wheel over an indexed event
-// calendar. Event records live in a free-listed slab (indexed by
-// generation-tagged handles, so cancel() is O(1) with no per-event heap
-// node), and the wheel gives O(1) schedule plus O(levels) amortized fire —
-// no per-event priority-queue churn, which is what the million-connection
-// fleet simulation needs. tests/event_wheel_test.cc validates it
-// bit-identically (same firing order, same clock) against the original
-// binary-heap implementation, kept as the oracle in
+// calendar. Event records live in fixed-size chunks that never move,
+// free-listed through their own chain field and addressed by
+// generation-tagged handles, so cancel() is O(1) and scheduling allocates
+// nothing once the chunks exist. Each record carries its callback inline
+// (EventCallback: captures up to 32 bytes stored in place), and fire()
+// runs it where it lies. The wheel gives O(1) schedule plus O(levels)
+// amortized fire — no per-event priority-queue churn, which is what the
+// million-connection fleet simulation needs. tests/event_wheel_test.cc
+// validates it bit-identically (same firing order, same clock) against the
+// original binary-heap implementation, kept as the oracle in
 // testing/heap_event_queue.h.
 //
 // Wheel geometry: kWheelLevels levels of 64 slots at 1 ns tick granularity.
@@ -27,8 +30,12 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <cstring>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,9 +44,107 @@
 
 namespace hermes::sim {
 
+// A move-only void() callable. A capture of up to kInlineBytes (8-byte
+// aligned, nothrow-movable) is stored in place; anything larger lives on
+// the heap behind a pointer kept in the same buffer. An empty callback
+// (default-constructed, moved-from or reset) holds nothing.
+class EventCallback {
+ public:
+  static constexpr size_t kInlineBytes = 32;
+
+  EventCallback() = default;
+
+  template <class F, class D = std::decay_t<F>,
+            class = std::enable_if_t<!std::is_same_v<D, EventCallback>>>
+  EventCallback(F&& f) {  // NOLINT(google-explicit-constructor)
+    emplace(std::forward<F>(f));
+  }
+
+  EventCallback(EventCallback&& o) noexcept { take(o); }
+  EventCallback& operator=(EventCallback&& o) noexcept {
+    if (this != &o) {
+      reset();
+      take(o);
+    }
+    return *this;
+  }
+  EventCallback(const EventCallback&) = delete;
+  EventCallback& operator=(const EventCallback&) = delete;
+  ~EventCallback() { reset(); }
+
+  // Replace the held callable with `f`, constructed in place.
+  template <class F, class D = std::decay_t<F>>
+  void emplace(F&& f) {
+    reset();
+    if constexpr (fits_inline<D>()) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      D* heap = new D(std::forward<F>(f));
+      std::memcpy(buf_, &heap, sizeof(heap));
+      ops_ = &kHeapOps<D>;
+    }
+  }
+
+  void reset() {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
+
+  explicit operator bool() const { return ops_ != nullptr; }
+  void operator()() { ops_->invoke(buf_); }
+
+  template <class F>
+  static constexpr bool fits_inline() {
+    return sizeof(F) <= kInlineBytes && alignof(F) <= 8 &&
+           std::is_nothrow_move_constructible_v<F>;
+  }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* buf);
+    void (*relocate)(void* dst, void* src);  // move-construct, destroy src
+    void (*destroy)(void* buf);
+  };
+
+  template <class D>
+  static D* heap_ptr(void* buf) {
+    D* p;
+    std::memcpy(&p, buf, sizeof(p));
+    return p;
+  }
+
+  template <class D>
+  static constexpr Ops kInlineOps{
+      [](void* b) { (*static_cast<D*>(b))(); },
+      [](void* dst, void* src) {
+        ::new (dst) D(std::move(*static_cast<D*>(src)));
+        static_cast<D*>(src)->~D();
+      },
+      [](void* b) { static_cast<D*>(b)->~D(); }};
+
+  template <class D>
+  static constexpr Ops kHeapOps{
+      [](void* b) { (*heap_ptr<D>(b))(); },
+      [](void* dst, void* src) { std::memcpy(dst, src, sizeof(D*)); },
+      [](void* b) { delete heap_ptr<D>(b); }};
+
+  void take(EventCallback& o) {
+    if (o.ops_ == nullptr) return;
+    o.ops_->relocate(buf_, o.buf_);
+    ops_ = o.ops_;
+    o.ops_ = nullptr;
+  }
+
+  const Ops* ops_ = nullptr;
+  alignas(8) unsigned char buf_[kInlineBytes];
+};
+
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = EventCallback;
 
   // Opaque handle for cancellation. Cancelling an already-fired or already-
   // cancelled event is a harmless no-op: the handle carries the record's
@@ -57,34 +162,53 @@ class EventQueue {
     uint64_t bits_ = 0;  // 0 = null handle
   };
 
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
   SimTime now() const { return now_; }
 
-  // Schedule `cb` to run at absolute time `at` (must be >= now()).
-  Handle schedule_at(SimTime at, Callback cb) {
+  // Schedule `f` (any void() callable, or an EventCallback) to run at
+  // absolute time `at` (must be >= now()).
+  template <class F>
+  Handle schedule_at(SimTime at, F&& f) {
     HERMES_CHECK_MSG(at >= now_, "cannot schedule in the past");
-    const uint32_t idx = alloc_record(at, std::move(cb));
+    const uint32_t idx = alloc_record();
+    Record& r = rec(idx);
+    r.at = at;
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      r.cb = std::forward<F>(f);
+    } else {
+      r.cb.emplace(std::forward<F>(f));
+    }
+    HERMES_DCHECK(static_cast<bool>(r.cb));
     place(idx);
     ++live_;
-    return Handle{idx, records_[idx].gen};
+    return Handle{idx, r.gen};
   }
 
-  Handle schedule_after(SimTime delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
+  template <class F>
+  Handle schedule_after(SimTime delay, F&& f) {
+    return schedule_at(now_ + delay, std::forward<F>(f));
   }
 
+  // An empty callback marks a record cancelled (still chained, reaped when
+  // popped) or free. A firing record's generation is already bumped, so
+  // cancelling an event from inside its own callback does nothing.
   void cancel(Handle h) {
     if (h.bits_ == 0) return;
     const uint32_t idx = h.idx();
-    if (idx >= records_.size()) return;
-    Record& r = records_[idx];
-    if (r.gen != h.gen() || !r.live) return;
-    r.live = false;
-    r.cb = nullptr;  // release captured state eagerly
+    if (idx >= used_) return;
+    Record& r = rec(idx);
+    if (r.gen != h.gen() || !r.cb) return;
+    r.cb.reset();  // release captured state eagerly
     --live_;
   }
 
   bool empty() const { return live_ == 0; }
   size_t pending() const { return live_; }
+  // Record chunks allocated so far (each holds kChunkRecords records).
+  size_t record_chunks() const { return chunks_.size(); }
 
   // Run the next event; returns false if the queue is empty.
   bool step() {
@@ -119,19 +243,20 @@ class EventQueue {
   static constexpr int kWheelLevels = 6;
   static constexpr uint32_t kNil = 0xffffffffu;
   static constexpr uint64_t kNoLimit = ~0ull;
+  static constexpr uint32_t kChunkBits = 10;
+  static constexpr uint32_t kChunkRecords = 1u << kChunkBits;
 
-  // One entry in the indexed event calendar. Records are slab-stored and
-  // free-listed; `gen` tags each reuse so stale handles can never cancel a
-  // successor event. `next` chains records within a wheel slot (or the
-  // overflow list) in FIFO order.
+  // One entry in the indexed event calendar. `gen` tags each reuse so
+  // stale handles can never cancel a successor event. `next` chains
+  // records within a wheel slot (or the overflow list, or the free list)
+  // in FIFO order.
   struct Record {
     SimTime at{};
     Callback cb;
     uint32_t gen = 0;
     uint32_t next = kNil;
-    bool live = false;      // false: cancelled (still chained) or free
-    bool in_free = false;
   };
+  static_assert(sizeof(Record) <= 56, "Record must stay within 56 bytes");
 
   struct Slot {
     uint32_t head = kNil;
@@ -149,40 +274,38 @@ class EventQueue {
     return 1ull << (kLevelBits * (level + 1));
   }
 
-  uint32_t alloc_record(SimTime at, Callback cb) {
-    uint32_t idx;
-    if (!free_.empty()) {
-      idx = free_.back();
-      free_.pop_back();
-      records_[idx].in_free = false;
-    } else {
-      idx = static_cast<uint32_t>(records_.size());
-      records_.emplace_back();
+  Record& rec(uint32_t idx) {
+    return chunks_[idx >> kChunkBits][idx & (kChunkRecords - 1)];
+  }
+
+  // Pop the free list (most recently released first), else take the next
+  // never-used record, adding a chunk when the last one is full.
+  uint32_t alloc_record() {
+    if (free_head_ != kNil) {
+      const uint32_t idx = free_head_;
+      free_head_ = rec(idx).next;
+      return idx;
     }
-    Record& r = records_[idx];
-    r.at = at;
-    r.cb = std::move(cb);
-    r.next = kNil;
-    r.live = true;
-    return idx;
+    if ((used_ >> kChunkBits) == chunks_.size()) {
+      chunks_.push_back(std::make_unique<Record[]>(kChunkRecords));
+    }
+    return used_++;
   }
 
   void release_record(uint32_t idx) {
-    Record& r = records_[idx];
-    HERMES_DCHECK(!r.in_free);
-    r.cb = nullptr;
-    r.live = false;
-    r.in_free = true;
+    Record& r = rec(idx);
+    HERMES_DCHECK(!r.cb);
     ++r.gen;  // stale handles die here
-    free_.push_back(idx);
+    r.next = free_head_;
+    free_head_ = idx;
   }
 
   void append(Slot& slot, uint32_t idx) {
-    records_[idx].next = kNil;
+    rec(idx).next = kNil;
     if (slot.head == kNil) {
       slot.head = slot.tail = idx;
     } else {
-      records_[slot.tail].next = idx;
+      rec(slot.tail).next = idx;
       slot.tail = idx;
     }
   }
@@ -191,7 +314,7 @@ class EventQueue {
   // the overflow list. Windows only move forward and base_[l] <= any
   // running clock value, so t >= now() always lands somewhere.
   void place(uint32_t idx) {
-    const uint64_t t = tick_of(records_[idx].at);
+    const uint64_t t = tick_of(rec(idx).at);
     for (int l = 0; l < kWheelLevels; ++l) {
       if (t < base_[l] + window(l)) {
         HERMES_DCHECK(t >= base_[l]);
@@ -202,20 +325,25 @@ class EventQueue {
       }
     }
     append(overflow_, idx);
-    ++overflow_count_;
   }
 
   // Redistribute one level-l slot into level l-1, re-windowing l-1 onto the
   // slot's range. Chain order is preserved, so per-slot FIFO (= insertion
-  // order) survives every cascade.
+  // order) survives every cascade. Cancelled records are reaped here
+  // rather than carried down level by level (a worker's epoll timeout is
+  // usually cancelled long before it would fire).
   void cascade(int l, uint32_t s) {
     base_[l - 1] = base_[l] + static_cast<uint64_t>(s) * span(l);
     uint32_t idx = wheel_[l][s].head;
     wheel_[l][s] = Slot{};
     occupancy_[l] &= ~(1ull << s);
     while (idx != kNil) {
-      const uint32_t next = records_[idx].next;
-      place(idx);
+      const uint32_t next = rec(idx).next;
+      if (rec(idx).cb) {
+        place(idx);
+      } else {
+        release_record(idx);
+      }
       idx = next;
     }
   }
@@ -232,9 +360,8 @@ class EventQueue {
     }
     uint32_t idx = overflow_.head;
     overflow_ = Slot{};
-    overflow_count_ = 0;
     while (idx != kNil) {
-      const uint32_t next = records_[idx].next;
+      const uint32_t next = rec(idx).next;
       place(idx);
       idx = next;
     }
@@ -259,8 +386,8 @@ class EventQueue {
         if (overflow_.head == kNil) return kNil;
         // Everything in-wheel drained; bring the far future into range.
         uint64_t min_t = ~0ull;
-        for (uint32_t i = overflow_.head; i != kNil; i = records_[i].next) {
-          min_t = std::min(min_t, tick_of(records_[i].at));
+        for (uint32_t i = overflow_.head; i != kNil; i = rec(i).next) {
+          min_t = std::min(min_t, tick_of(rec(i).at));
         }
         if (min_t > limit) return kNil;
         rebase_from_overflow(min_t);
@@ -274,7 +401,7 @@ class EventQueue {
       if (lowest == 0) {
         Slot& slot = wheel_[0][s];
         const uint32_t idx = slot.head;
-        slot.head = records_[idx].next;
+        slot.head = rec(idx).next;
         if (slot.head == kNil) {
           slot.tail = kNil;
           occupancy_[0] &= ~(1ull << s);
@@ -286,29 +413,34 @@ class EventQueue {
   }
 
   // Fire (or reap) one popped record. Returns true if a live callback ran.
+  // The callback runs in place: chunks never move, and the record joins
+  // the free list only after the call, so events the callback schedules
+  // can neither reuse nor relocate it.
   bool fire(uint32_t idx) {
-    Record& r = records_[idx];
-    if (!r.live) {
+    Record& r = rec(idx);
+    if (!r.cb) {
       release_record(idx);  // cancelled: reap lazily
       return false;
     }
     now_ = r.at;
-    Callback cb = std::move(r.cb);
     --live_;
-    release_record(idx);
-    cb();
+    ++r.gen;  // the event's handle goes stale before its body runs
+    r.cb();
+    r.cb.reset();
+    r.next = free_head_;
+    free_head_ = idx;
     return true;
   }
 
   SimTime now_ = SimTime::zero();
   size_t live_ = 0;
-  std::vector<Record> records_;
-  std::vector<uint32_t> free_;
+  std::vector<std::unique_ptr<Record[]>> chunks_;
+  uint32_t used_ = 0;          // records ever handed out (high-water mark)
+  uint32_t free_head_ = kNil;  // free list, chained through Record::next
   Slot wheel_[kWheelLevels][kSlots]{};
   uint64_t occupancy_[kWheelLevels]{};
   uint64_t base_[kWheelLevels]{};
   Slot overflow_{};
-  size_t overflow_count_ = 0;
 };
 
 // A self-rescheduling event body. Wraps `f(self)` where `self` may be passed

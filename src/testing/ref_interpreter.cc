@@ -101,6 +101,15 @@ int mem_width(Op op) {
 }
 
 struct Interp {
+  Interp(const Program& program, std::span<Map* const> prog_maps,
+         ReuseportCtx& run_ctx, const Vm::TimeFn& time,
+         const Vm::RandFn& rand)
+      : prog(program),
+        maps(prog_maps),
+        ctx(run_ctx),
+        time_fn(time),
+        rand_fn(rand) {}
+
   const Program& prog;
   std::span<Map* const> maps;
   ReuseportCtx& ctx;

@@ -3,6 +3,8 @@
 // typing rules.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "bpf/assembler.h"
 #include "bpf/vm.h"
 #include "bpf_tiers.h"
@@ -13,16 +15,15 @@ namespace {
 
 struct Alu32Case {
   using Eval = uint64_t (*)(uint64_t, uint64_t);
-  Alu32Case(Op o, const char* n, Eval e) : op(o), name(n), eval(e) {}
-
   Op op;
-  // gtest names each case by dumping the parameter's raw bytes. Spelling
-  // the padding out as zeroed bytes keeps those names the same on every
-  // run; implicit padding would carry whatever was on the stack.
-  uint8_t zero_pad[7] = {};
   const char* name;
   Eval eval;
 };
+
+// gtest prints each case's parameter into its registered name; without
+// this it would dump the raw struct bytes, pointers included, and the
+// names would move whenever the binary is relinked.
+void PrintTo(const Alu32Case& c, std::ostream* os) { *os << c.name; }
 
 uint32_t lo(uint64_t v) { return static_cast<uint32_t>(v); }
 
@@ -95,8 +96,8 @@ INSTANTIATE_TEST_SUITE_P(
                     return static_cast<uint32_t>(
                         static_cast<int32_t>(lo(x)) >> (y & 31));
                   }}),
-    [](const ::testing::TestParamInfo<Alu32Case>& info) {
-      return info.param.name;
+    [](const ::testing::TestParamInfo<Alu32Case>& param_info) {
+      return param_info.param.name;
     });
 
 TEST(Alu32Test, Neg32ZeroExtends) {

@@ -281,6 +281,45 @@ TEST_F(SpillTest, StoreToUntouchedSlotIsLoopProgress) {
   EXPECT_EQ(res.error_state, "r0 = scalar{const 0}\nr1 = ctx+0\nr10 = fp+0\n");
 }
 
+TEST_F(SpillTest, JoinThatBreaksASpillPairDegradesBothHalves) {
+  // Trip 1 reaches the back edge twice: once with a scalar spilled to
+  // fp-8, once with a stack pointer. The join keeps neither spill: the low
+  // cell becomes unknown data, and merge_into must degrade the high cell
+  // (fp-4) it orphaned to unknown data too. Trip 2 stores 7 at fp-4, which
+  // that unknown header cell covers, so cell_subsumes finds the fixpoint
+  // on trip 2. A header that kept the orphaned SpillHi would not cover
+  // the data cell, and the analysis would run into the trip bound instead.
+  Assembler a;
+  a.call(HelperId::GetPrandomU32);
+  a.mov(r8, r0);
+  a.mov(r6, 0);
+  a.label("top");
+  a.jne(r6, 0, "second");
+  a.mov(r6, 1);
+  a.jgt(r8, 10, "spill_ptr");
+  a.mov(r0, 5);
+  a.stx_dw(r10, -8, r0);
+  a.ja("top");
+  a.label("spill_ptr");
+  a.stx_dw(r10, -8, r10);
+  a.ja("top");
+  a.label("second");
+  a.st_w(r10, -4, 7);
+  a.jeq(r8, 3, "out");
+  a.ja("top");
+  a.label("out");
+  a.mov(r0, 0);
+  a.exit();
+  analysis::AnalysisOptions opts;
+  opts.max_trip_count = 2;
+  const auto res = analysis::analyze(a.finish(), maps_, opts);
+  EXPECT_FALSE(res);
+  EXPECT_EQ(res.error,
+            "backward edge: loop makes no abstract progress toward exit "
+            "(fixpoint at the header)");
+  EXPECT_EQ(res.error_pc, 3u);
+}
+
 TEST_F(SpillTest, LoopWritingOneSlotDeeperPerTripIsAccepted) {
   // Each trip stores one slot deeper, down to fp-512: the tracked span
   // grows with the iteration count.

@@ -64,28 +64,29 @@ TEST(DataPlaneTest, ForwardsEveryCompletedRequest) {
   EXPECT_EQ(t.bytes_copied, 0u);
   EXPECT_GT(t.bytes_zero_copied, 0u);
   // All connections closed → no ConnState or backend-lease leaks.
-  EXPECT_EQ(lb.data_plane()->live_conn_states(), 0u);
-  EXPECT_EQ(lb.data_plane()->in_flight(), 0u);
+  EXPECT_EQ(lb.http_conn_states(), 0u);
+  EXPECT_EQ(lb.http_in_flight(), 0u);
 }
 
 TEST(DataPlaneTest, ClosingConnectionMidFlightDropsItsLease) {
-  DataPlane::Config dc;
-  dc.enabled = true;
-  DataPlane dp(dc, /*num_workers=*/2, /*obs=*/nullptr);
-  Request req;
-  req.id = 1;
-  req.conn = 7;
-  req.bytes = 700;
-  dp.on_request(0, req, /*last_on_conn=*/false, SimTime::zero());
-  EXPECT_EQ(dp.in_flight(), 1u);
+  LbDevice lb(dp_config(/*zero_copy=*/true));
+  LbDevice::ConnPlan plan;
+  plan.remaining = 2;
+  plan.cost_us = DistSpec::constant(1000);
+  plan.bytes = DistSpec::constant(700);
+  ASSERT_NE(lb.open_connection(0, plan), 0u);
+  lb.eq().run_until(SimTime::micros(500));  // accepted, request at a worker
+  EXPECT_EQ(lb.http_in_flight(), 1u);
   // The client connection closes while the request is at a worker; the
   // worker's completion then finds no connection.
-  dp.on_conn_close(req.conn);
-  EXPECT_EQ(dp.in_flight(), 0u);
-  dp.on_response(0, req, SimTime::micros(10));
-  EXPECT_EQ(dp.in_flight(), 0u);
-  EXPECT_EQ(dp.live_conn_states(), 0u);
-  EXPECT_EQ(dp.totals().responses_returned, 0u);
+  lb.close_all();
+  EXPECT_EQ(lb.http_in_flight(), 0u);
+  EXPECT_EQ(lb.http_conn_states(), 0u);
+  lb.eq().run_until(SimTime::millis(10));
+  EXPECT_EQ(lb.totals().requests_completed, 1u);
+  EXPECT_EQ(lb.http_in_flight(), 0u);
+  EXPECT_EQ(lb.data_plane()->totals().requests_forwarded, 1u);
+  EXPECT_EQ(lb.data_plane()->totals().responses_returned, 0u);
 }
 
 TEST(DataPlaneTest, BurstKeepsEveryLeaseUntilItsResponse) {
@@ -102,11 +103,11 @@ TEST(DataPlaneTest, BurstKeepsEveryLeaseUntilItsResponse) {
   lb.eq().run_until(SimTime::millis(100));
   lb.burst_all_connections(DistSpec::constant(200), 3);
   const DataPlane& dp = *lb.data_plane();
-  EXPECT_EQ(dp.in_flight(), 8u * 3u);
+  EXPECT_EQ(lb.http_in_flight(), 8u * 3u);
   lb.eq().run_until(SimTime::millis(200));
   EXPECT_EQ(dp.totals().requests_forwarded, 8u * 4u);
   EXPECT_EQ(dp.totals().responses_returned, dp.totals().requests_forwarded);
-  EXPECT_EQ(dp.in_flight(), 0u);
+  EXPECT_EQ(lb.http_in_flight(), 0u);
   EXPECT_EQ(dp.pool().stats().hits + dp.pool().stats().misses,
             dp.totals().requests_forwarded);
 }
@@ -142,19 +143,20 @@ TEST(DataPlaneTest, PerByteCostScalesServiceTimeWithBodySize) {
   dc.num_backends = 1;  // force the second request onto the warm conn
   dc.per_byte_cost = SimTime::nanos(100);
   DataPlane dp(dc, /*num_workers=*/2, /*obs=*/nullptr);
+  DataPlane::ConnCtx conn(dp.conn_config());
   Request req;
   req.id = 1;
   req.conn = 7;
   req.bytes = 700;
   // First request: pool miss (handshake) + the 700-byte bill.
-  const SimTime first = dp.on_request(0, req, /*last_on_conn=*/false,
+  const SimTime first = dp.on_request(0, conn, req, /*last_on_conn=*/false,
                                       SimTime::zero());
   EXPECT_EQ(first.ns(), dc.backend_handshake_cost.ns() + 700ll * 100);
-  dp.on_response(0, req, SimTime::micros(10));
+  dp.on_response(0, conn, req, SimTime::micros(10));
   // Second request reuses the warm backend: the byte bill alone remains.
   req.id = 2;
   req.bytes = 40;
-  const SimTime second = dp.on_request(0, req, /*last_on_conn=*/true,
+  const SimTime second = dp.on_request(0, conn, req, /*last_on_conn=*/true,
                                        SimTime::micros(20));
   EXPECT_EQ(second.ns(), 40ll * 100);
 
@@ -162,12 +164,13 @@ TEST(DataPlaneTest, PerByteCostScalesServiceTimeWithBodySize) {
   DataPlane::Config free_cfg;
   free_cfg.enabled = true;
   DataPlane free_dp(free_cfg, 2, nullptr);
+  DataPlane::ConnCtx free_conn(free_dp.conn_config());
   Request fr;
   fr.id = 3;
   fr.conn = 9;
   fr.bytes = 5000;
-  const SimTime f =
-      free_dp.on_request(0, fr, /*last_on_conn=*/true, SimTime::zero());
+  const SimTime f = free_dp.on_request(0, free_conn, fr, /*last_on_conn=*/true,
+                                       SimTime::zero());
   EXPECT_EQ(f.ns(), free_cfg.backend_handshake_cost.ns());
 }
 

@@ -4,13 +4,20 @@
 // Both queues are driven with identical operation scripts — schedules
 // (including zero delays, timestamp ties, and far-future events beyond the
 // wheel horizon), cancellations (from outside and from inside callbacks,
-// including stale/double cancels), nested scheduling from callbacks,
-// run_until boundaries, and single steps — and must produce bit-identical
-// firing logs (event id, firing timestamp) and clock reads. The heap is the
-// determinism oracle: equal timestamps fire in insertion order.
+// including stale/double cancels and an event cancelling itself), nested
+// scheduling from callbacks, captures too large for an event record's
+// inline buffer, run_until boundaries, and single steps — and must produce
+// bit-identical firing logs (event id, firing timestamp) and clock reads.
+// The heap is the determinism oracle: equal timestamps fire in insertion
+// order. Targeted scenarios add callbacks that grow the record storage by
+// whole chunks while they run, and Rearming bodies whose copies each carry
+// their own state.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -113,7 +120,8 @@ class Driver {
 
   void schedule(SimTime delay, uint32_t behavior) {
     const uint64_t id = next_id_++;
-    handles_.push_back(q_.schedule_after(delay, [this, id, behavior] {
+    const size_t own = handles_.size();
+    auto body = [this, id, behavior, own] {
       log.emplace_back(id, q_.now().ns());
       uint64_t s = id * 0x9e3779b97f4a7c15ull + behavior;
       const uint64_t roll = splitmix64(s);
@@ -128,7 +136,27 @@ class Driver {
         // or already-cancelled handle; all must behave identically.
         q_.cancel(handles_[splitmix64(s) % handles_.size()]);
       }
-    }));
+      if (roll % 5 == 0) {
+        // The firing event cancels its own handle: a no-op in both queues.
+        q_.cancel(handles_[own]);
+      }
+    };
+    if (behavior % 3 == 0) {
+      // A capture too large for the record's inline buffer (heap path).
+      // The payload is checked when the event fires.
+      std::array<uint64_t, 5> pad{};
+      for (size_t i = 0; i < pad.size(); ++i) pad[i] = id * 31 + i;
+      static_assert(sizeof(pad) + sizeof(body) > EventCallback::kInlineBytes);
+      handles_.push_back(q_.schedule_after(delay, [body, pad, id] {
+        for (size_t i = 0; i < pad.size(); ++i) {
+          if (pad[i] != id * 31 + i) std::abort();
+        }
+        body();
+      }));
+    } else {
+      static_assert(EventCallback::fits_inline<decltype(body)>());
+      handles_.push_back(q_.schedule_after(delay, body));
+    }
   }
 
   Q q_;
@@ -155,6 +183,109 @@ TEST(EventWheelProperty, DifferentialFuzzVsHeap) {
 
 TEST(EventWheelProperty, DifferentialFuzzLongScripts) {
   for (uint64_t seed = 100; seed < 106; ++seed) run_differential(seed, 3000);
+}
+
+// Runs `scenario(queue, log)` on both queues and requires identical logs
+// plus identical final clocks.
+template <class Scenario>
+void expect_same_as_heap(Scenario scenario) {
+  std::vector<std::pair<uint64_t, int64_t>> wheel_log, heap_log;
+  EventQueue wheel;
+  HeapEventQueue heap;
+  scenario(wheel, wheel_log);
+  scenario(heap, heap_log);
+  wheel_log.emplace_back(~0ull, wheel.now().ns());
+  heap_log.emplace_back(~0ull, heap.now().ns());
+  EXPECT_EQ(wheel_log, heap_log);
+}
+
+// Schedules 1500 logging events from inside a callback: more than one
+// record chunk's worth.
+template <class Q, class Log>
+void flood(Q& q, Log& log, int k) {
+  for (int i = 0; i < 1500; ++i) {
+    q.schedule_after(SimTime::nanos(i % 97), [&q, &log, i, k] {
+      log.emplace_back(static_cast<uint64_t>(k) * 10000 + i, q.now().ns());
+    });
+  }
+}
+
+TEST(EventWheelProperty, CallbackGrowingRecordChunksMatchesHeap) {
+  // While a callback runs, it schedules enough events to add record chunks,
+  // then reads its own captures: the firing record must neither move nor
+  // be reused underneath it. One body is stored inline, one on the heap.
+  expect_same_as_heap([](auto& q, auto& log) {
+    for (int k = 0; k < 2; ++k) {
+      const uint64_t magic = 0xfeed0000ull + static_cast<uint64_t>(k);
+      auto inline_body = [&q, &log, magic, k] {
+        flood(q, log, 2 * k);
+        log.emplace_back(magic, q.now().ns());
+      };
+      static_assert(EventCallback::fits_inline<decltype(inline_body)>());
+      q.schedule_at(SimTime::nanos(10), inline_body);
+
+      std::array<uint64_t, 8> tag{};
+      for (size_t i = 0; i < tag.size(); ++i) tag[i] = 1000 + i + k;
+      auto heap_body = [&q, &log, tag, k] {
+        flood(q, log, 2 * k + 1);
+        uint64_t sum = 0;
+        for (uint64_t v : tag) sum += v;
+        log.emplace_back(sum, q.now().ns());
+      };
+      static_assert(!EventCallback::fits_inline<decltype(heap_body)>());
+      q.schedule_at(SimTime::nanos(10), heap_body);
+    }
+    q.run_all();
+  });
+  EventQueue eq;
+  for (int i = 0; i < 3000; ++i) eq.schedule_at(SimTime::nanos(i), [] {});
+  EXPECT_GE(eq.record_chunks(), 2u);  // so the floods above span chunks
+}
+
+TEST(EventWheelProperty, SelfCancelWhileFiringMatchesHeap) {
+  // Each event cancels its own handle from inside its body, then schedules
+  // a successor that may reuse the record slot; the successor must fire.
+  expect_same_as_heap([](auto& q, auto& log) {
+    using Handle = typename std::decay_t<decltype(q)>::Handle;
+    std::vector<Handle> handles(200);
+    std::function<void(int)> arm = [&](int i) {
+      handles[i] = q.schedule_after(SimTime::nanos(3), [&, i] {
+        q.cancel(handles[i]);
+        log.emplace_back(i, q.now().ns());
+        if (i + 1 < static_cast<int>(handles.size())) arm(i + 1);
+        q.cancel(handles[i]);  // after the successor took the slot
+      });
+    };
+    arm(0);
+    q.run_all();
+  });
+}
+
+TEST(EventWheelProperty, RearmingCopiesMatchHeap) {
+  // Every re-arm schedules a copy of the Rearming body; each copy carries
+  // its own counter, so both the small (inline) and the large (heap)
+  // capture must be copied, not shared or moved from.
+  expect_same_as_heap([](auto& q, auto& log) {
+    Rearming small([&q, &log, n = 0](auto& self) mutable {
+      log.emplace_back(100 + n, q.now().ns());
+      if (++n < 50) q.schedule_after(SimTime::nanos(7), self);
+    });
+    std::array<uint64_t, 6> big{};
+    Rearming large([&q, &log, big, n = 0](auto& self) mutable {
+      big[n % big.size()] += n;
+      uint64_t sum = 0;
+      for (uint64_t v : big) sum += v;
+      log.emplace_back(1000 + n * 100000 + sum, q.now().ns());
+      if (++n < 40) {
+        q.schedule_after(SimTime::nanos(5), self);
+        if (n % 10 == 0) q.schedule_after(SimTime::nanos(11), self);
+      }
+    });
+    static_assert(!EventCallback::fits_inline<decltype(large)>());
+    q.schedule_after(SimTime::nanos(1), small);
+    q.schedule_after(SimTime::nanos(2), large);
+    q.run_all();
+  });
 }
 
 // ---- Targeted corners the fuzzer covers only probabilistically ----------

@@ -13,6 +13,15 @@
 namespace hermes::netsim {
 namespace {
 
+// GCC 12 reports -Wuse-after-free for the refs() read after
+// `other.reset()` below: it sees the `delete` inside release() on the
+// inlined path but not that refs_ is 2 there, so that path never runs. The
+// EXPECTs on either side pin the count, and the ASan runs of this test are
+// clean. Silenced for this test only.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuse-after-free"
+#endif
 TEST(IoSegment, AllocAppendAndRefCounting) {
   const uint64_t live_before = iobuf_stats().segments_live();
   {
@@ -31,6 +40,9 @@ TEST(IoSegment, AllocAppendAndRefCounting) {
   }
   EXPECT_EQ(iobuf_stats().segments_live(), live_before);
 }
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#pragma GCC diagnostic pop
+#endif
 
 TEST(IoSegment, AppendStopsAtCapacity) {
   SegRef seg = IoSegment::alloc(4);

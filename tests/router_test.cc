@@ -41,11 +41,22 @@ TEST(PathMatchTest, PrefixAndExact) {
 
 TEST(RouteTableTest, MostSpecificWins) {
   RouteTable rt;
-  rt.add_rule({.host = "", .path_prefix = "/", .backend_pool = 1});
-  rt.add_rule({.host = "*.shop.com", .path_prefix = "/", .backend_pool = 2});
-  rt.add_rule({.host = "api.shop.com", .path_prefix = "/", .backend_pool = 3});
-  rt.add_rule(
-      {.host = "api.shop.com", .path_prefix = "/admin/", .backend_pool = 4});
+  rt.add_rule({.host = "",
+               .path_prefix = "/",
+               .method = std::nullopt,
+               .backend_pool = 1});
+  rt.add_rule({.host = "*.shop.com",
+               .path_prefix = "/",
+               .method = std::nullopt,
+               .backend_pool = 2});
+  rt.add_rule({.host = "api.shop.com",
+               .path_prefix = "/",
+               .method = std::nullopt,
+               .backend_pool = 3});
+  rt.add_rule({.host = "api.shop.com",
+               .path_prefix = "/admin/",
+               .method = std::nullopt,
+               .backend_pool = 4});
 
   EXPECT_EQ(rt.match(make_req("other.com", "/x")).rule->backend_pool, 1u);
   EXPECT_EQ(rt.match(make_req("www.shop.com", "/x")).rule->backend_pool, 2u);
@@ -67,7 +78,10 @@ TEST(RouteTableTest, MethodConstraint) {
 
 TEST(RouteTableTest, NoMatchReturnsNull) {
   RouteTable rt;
-  rt.add_rule({.host = "only.com", .path_prefix = "/", .backend_pool = 1});
+  rt.add_rule({.host = "only.com",
+               .path_prefix = "/",
+               .method = std::nullopt,
+               .backend_pool = 1});
   const auto res = rt.match(make_req("other.com", "/"));
   EXPECT_EQ(res.rule, nullptr);
   EXPECT_EQ(res.rules_examined, 1u);
@@ -78,6 +92,7 @@ TEST(RouteTableTest, RulesExaminedCountsFullScan) {
   for (int i = 0; i < 25; ++i) {
     rt.add_rule({.host = "h" + std::to_string(i) + ".com",
                  .path_prefix = "/",
+                 .method = std::nullopt,
                  .backend_pool = static_cast<uint32_t>(i)});
   }
   const auto res = rt.match(make_req("h24.com", "/"));
