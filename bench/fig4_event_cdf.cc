@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "util/strings.h"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
                 static_cast<long>(h.p50()), static_cast<long>(h.p90()),
                 static_cast<long>(h.p99()), static_cast<long>(h.max_value()),
                 h.mean(), static_cast<unsigned long>(h.count()));
-    const std::string prefix = "w" + std::to_string(w);
+    const std::string prefix = numbered("w", w);
     json.metric(prefix + ".events_p99", static_cast<double>(h.p99()));
     json.metric(prefix + ".events_mean", h.mean());
     json.metric(prefix + ".waits", static_cast<double>(h.count()));

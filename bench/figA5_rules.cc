@@ -9,6 +9,7 @@
 #include "bench/bench_common.h"
 #include "http/cost_model.h"
 #include "http/router.h"
+#include "util/strings.h"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -41,7 +42,7 @@ int main(int argc, char** argv) {
   for (size_t n : {1, 10, 50, 200, 1000}) {
     http::RouteTable rt;
     for (size_t i = 0; i < n; ++i) {
-      rt.add_rule({.host = "t" + std::to_string(i) + ".example.com",
+      rt.add_rule({.host = numbered("t", i) + ".example.com",
                    .path_prefix = "/",
                    .method = std::nullopt,
                    .backend_pool = static_cast<uint32_t>(i)});
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
     http::Request req;
     req.method = http::Method::Get;
     req.path = "/index";
-    req.headers.add("Host", "t" + std::to_string(n - 1) + ".example.com");
+    req.headers.add("Host", numbered("t", n - 1) + ".example.com");
     const auto m = rt.match(req);
     http::RequestShape shape;
     shape.bytes = 2048;

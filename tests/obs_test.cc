@@ -21,6 +21,7 @@
 #include "obs/observability.h"
 #include "simcore/rng.h"
 #include "testing/interleave.h"
+#include "util/strings.h"
 
 namespace hermes::obs {
 namespace {
@@ -65,7 +66,7 @@ TEST(CounterTest, ShardedMergeUnderInterleaving) {
                            : SchedulePolicy::BoundedPreemption;
     InterleavingExplorer ex(opts);
     for (uint32_t t = 0; t < 4; ++t) {
-      auto& script = ex.thread("w" + std::to_string(t));
+      auto& script = ex.thread(numbered("w", t));
       script.repeat(8, [&c, t](InterleavingExplorer::ThreadScript& s,
                                uint32_t i) {
         s.step("add", [&c, t, i] { c.add(t, i + 1); });

@@ -4,6 +4,7 @@
 #include "http/cost_model.h"
 #include "http/parser.h"
 #include "http/router.h"
+#include "util/strings.h"
 
 namespace hermes::http {
 namespace {
@@ -90,7 +91,7 @@ TEST(RouteTableTest, NoMatchReturnsNull) {
 TEST(RouteTableTest, RulesExaminedCountsFullScan) {
   RouteTable rt;
   for (int i = 0; i < 25; ++i) {
-    rt.add_rule({.host = "h" + std::to_string(i) + ".com",
+    rt.add_rule({.host = numbered("h", i) + ".com",
                  .path_prefix = "/",
                  .method = std::nullopt,
                  .backend_pool = static_cast<uint32_t>(i)});

@@ -25,6 +25,7 @@
 
 #include "core/hermes.h"
 #include "testing/interleave.h"
+#include "util/strings.h"
 
 namespace hermes {
 namespace {
@@ -198,7 +199,7 @@ ExploreResult run_one(const RunSpec& spec, ExploreOptions opts) {
   Harness h(spec.workers, spec.wpg);
   InterleavingExplorer ex(opts);
   for (WorkerId w = 0; w < spec.workers; ++w) {
-    ex.thread("w" + std::to_string(w))
+    ex.thread(numbered("w", w))
         .repeat(spec.iters,
                 [&h, w](InterleavingExplorer::ThreadScript& t, uint32_t i) {
                   add_worker_iteration(t, h, w, i);
@@ -287,7 +288,7 @@ TEST(TortureInterleave, FailingSeedYieldsIdenticalReplayableReport) {
     Harness h(spec.workers, spec.wpg);
     InterleavingExplorer ex({.seed = seed});
     for (WorkerId w = 0; w < spec.workers; ++w) {
-      ex.thread("w" + std::to_string(w))
+      ex.thread(numbered("w", w))
           .repeat(spec.iters,
                   [&h, w](InterleavingExplorer::ThreadScript& t, uint32_t i) {
                     add_worker_iteration(t, h, w, i);

@@ -21,6 +21,7 @@
 
 #include "obs/observability.h"
 #include "testing/interleave.h"
+#include "util/strings.h"
 
 namespace hermes::obs {
 namespace {
@@ -61,7 +62,7 @@ uint64_t explore_counters(uint64_t seed, SchedulePolicy policy) {
   InterleavingExplorer ex(opts);
 
   for (uint32_t t = 0; t < 4; ++t) {
-    auto& script = ex.thread("w" + std::to_string(t));
+    auto& script = ex.thread(numbered("w", t));
     script.repeat(6, [&, t](InterleavingExplorer::ThreadScript& s,
                             uint32_t i) {
       s.step("count", [&c, t, i] { c.add(t, (t + 1) * (i + 1)); });
