@@ -177,14 +177,12 @@ size_t LbDevice::open_tuple_burst(TenantId tenant, const ConnPlan& plan,
   return established;
 }
 
-LbDevice::LiveConn& LbDevice::add_conn(netsim::Connection conn,
-                                       const ConnPlan& plan,
-                                       SimTime syn_time) {
+void LbDevice::add_conn(netsim::Connection conn, const ConnPlan& plan,
+                        SimTime syn_time) {
   LiveConn& lc = conns_.insert(conn.slot(), conn.id());
   lc.conn = conn;
   lc.plan = plan;
   lc.syn_time = syn_time;
-  return lc;
 }
 
 netsim::ConnId LbDevice::open_connection_attempt(TenantId tenant,

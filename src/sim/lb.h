@@ -243,8 +243,8 @@ class LbDevice {
 
   netsim::ConnId open_connection_attempt(TenantId tenant, ConnPlan plan,
                                          SimTime first_syn, int attempt);
-  LiveConn& add_conn(netsim::Connection conn, const ConnPlan& plan,
-                     SimTime syn_time);
+  void add_conn(netsim::Connection conn, const ConnPlan& plan,
+                SimTime syn_time);
 
   PortId port_of(TenantId tenant) const {
     return static_cast<PortId>(cfg_.first_port + tenant % cfg_.num_ports);
