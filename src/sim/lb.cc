@@ -363,12 +363,21 @@ void LbDevice::run_degradation_sweep() {
     const auto resets = degradation_->pick_resets(slots, degradation_salt_++);
     degradation_->stats().degradations += resets.empty() ? 0 : 1;
     for (uint64_t s : resets) {
-      // RST: the client reconnects immediately; remaining requests carry
-      // over to the new connection, which the (healthy-workers) bitmap
-      // dispatch will place elsewhere. The reconnect can only take the slot
-      // just freed, which is not visited again.
+      // RST: the client reconnects immediately; the requests still waiting
+      // for the worker carry over to the new connection, which the
+      // (healthy-workers) bitmap dispatch will place elsewhere. The request
+      // the hung worker is executing does not: the worker runs it to
+      // completion regardless, and re-sending it (often the wedging request
+      // itself) would only wedge the next worker. The reconnect can only
+      // take the slot just freed, which is not visited again.
       const auto slot = static_cast<uint32_t>(s);
-      ConnPlan plan = conns_.at(slot).plan;
+      const LiveConn& lc = conns_.at(slot);
+      ConnPlan plan = lc.plan;
+      const Request* running = workers_[w]->executing();
+      if (running != nullptr && running->slot == slot &&
+          running->conn == lc.conn.id()) {
+        --plan.remaining;
+      }
       const TenantId tenant = plan.tenant;
       ++totals_.degradation_resets;
       degradation_->stats().resets++;

@@ -101,6 +101,13 @@ class Worker final : public netsim::Waiter {
   uint64_t accepts_done() const { return accepts_done_; }
   uint64_t loop_iterations() const { return loop_iterations_; }
   uint64_t wasted_wakeups() const { return wasted_wakeups_; }
+  // The request this worker is processing right now, or null (between
+  // events, or processing an accept). A hung worker is inside it.
+  const Request* executing() const {
+    return batch_pos_ > 0 && current_.kind == WorkerEvent::Kind::Request
+               ? &current_.request
+               : nullptr;
+  }
 
   // Per-worker distributions for Figs. 4 and 5.
   Histogram& events_per_wait() { return events_per_wait_; }

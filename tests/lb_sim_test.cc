@@ -324,6 +324,83 @@ TEST(LbSimTest, DegradationSweepMovesConnectionsOffHungWorker) {
   EXPECT_GT(lb.totals().degradation_resets, 0u);
 }
 
+// The failure_injection example's scenario: one 3 s request wedges a
+// worker while degradation sweeps run every 100 ms. The sweep resets some
+// of the hung worker's connections, but never re-sends the request the
+// worker is executing, so the wedge stays on that one worker: no other
+// worker ever hangs, none leaves the bitmap for long, and every bit is
+// back once the wedge ends.
+TEST(LbSimTest, DegradationSweepKeepsTheWedgeOnOneWorker) {
+  LbDevice::Config cfg;
+  cfg.mode = netsim::DispatchMode::HermesMode;
+  cfg.num_workers = 4;
+  cfg.num_ports = 8;
+  cfg.seed = 99;
+  cfg.hermes.degradation_after = SimTime::millis(400);
+  cfg.hermes.degradation_reset_fraction = 0.5;
+  LbDevice lb(cfg);
+
+  TrafficPattern p;
+  p.cps = 600;
+  p.requests_per_conn = DistSpec::uniform(2, 5);
+  p.request_cost_us = DistSpec::constant(150);
+  p.request_gap_us = DistSpec::exponential(50'000);
+  lb.start_pattern(p, 0, cfg.num_ports, SimTime::seconds(5));
+  lb.eq().schedule_at(SimTime::millis(200), [&lb] {
+    LbDevice::ConnPlan poison;
+    poison.remaining = 1;
+    poison.cost_us = DistSpec::constant(3'000'000);
+    lb.open_connection(0, poison);
+  });
+  for (int t = 1; t <= 48; ++t) {
+    lb.eq().schedule_at(SimTime::millis(100) * t,
+                        [&lb] { lb.run_degradation_sweep(); });
+  }
+
+  // Every 10 ms: which workers are executing a poison request, and how
+  // long each has been out of the bitmap.
+  const uint32_t n = lb.num_workers();
+  std::vector<int> poisoned_at(n, 0), out_run(n, 0), longest_out(n, 0);
+  std::vector<uint64_t> bitmaps;
+  for (int t = 1; t <= 500; ++t) {
+    lb.eq().schedule_at(SimTime::millis(10) * t, [&] {
+      const uint64_t bitmap = lb.hermes()->kernel_bitmap();
+      bitmaps.push_back(bitmap);
+      for (WorkerId w = 0; w < n; ++w) {
+        const Request* r = lb.worker(w).executing();
+        if (r != nullptr && r->cost >= SimTime::seconds(1)) ++poisoned_at[w];
+        out_run[w] = (bitmap >> w & 1) != 0 ? 0 : out_run[w] + 1;
+        longest_out[w] = std::max(longest_out[w], out_run[w]);
+      }
+    });
+  }
+  lb.eq().run_until(SimTime::seconds(5));
+
+  int wedged = -1;
+  for (WorkerId w = 0; w < n; ++w) {
+    if (poisoned_at[w] == 0) continue;
+    EXPECT_EQ(wedged, -1) << "the poison request also ran on worker " << w;
+    wedged = static_cast<int>(w);
+  }
+  ASSERT_NE(wedged, -1);
+  // The wedge lasts its full 3 s on that worker, out of the bitmap nearly
+  // all of it.
+  EXPECT_GE(poisoned_at[wedged], 290);
+  EXPECT_GE(longest_out[wedged], 280);
+  EXPECT_GT(lb.totals().degradation_resets, 0u);
+  for (WorkerId w = 0; w < n; ++w) {
+    if (static_cast<int>(w) == wedged) continue;
+    // Healthy workers only drop out briefly (the connection filter).
+    EXPECT_LT(longest_out[w], 50) << "worker " << w;
+    EXPECT_LT(lb.worker(w).busy_time().ns(), SimTime::seconds(1).ns())
+        << "worker " << w;
+  }
+  // Every bit is back well after the wedge ends.
+  const uint64_t all = (1ull << n) - 1;
+  EXPECT_EQ(bitmaps[349], all);  // t = 3.5 s
+  EXPECT_EQ(bitmaps[449], all);  // t = 4.5 s
+}
+
 TEST(LbSimTest, SynRetransmissionRecoversDroppedConnections) {
   auto cfg = base_config(netsim::DispatchMode::Reuseport);
   cfg.num_workers = 1;
