@@ -317,9 +317,14 @@ ObsOverhead measure_obs_overhead() {
     r.counter_ops += c->value();
   }
   // sched.fast_path_ns accumulates NANOSECONDS, so its value() is not an
-  // op count. It is updated once per schedule (= once per filter run);
-  // charge that many timing-pair composites instead.
-  r.timer_ops = m.filter_runs->value();
+  // op count. Each worker times one schedule (= filter run) in every
+  // kSchedTimingStride, its first included; charge that many timing-pair
+  // composites instead.
+  for (WorkerId w = 0; w < cfg.num_workers; ++w) {
+    const uint64_t runs = m.filter_runs->shard_value(w);
+    r.timer_ops += (runs + core::HermesRuntime::kSchedTimingStride - 1) /
+                   core::HermesRuntime::kSchedTimingStride;
+  }
   r.hist_ops = m.filter_selected->snapshot().count +
                m.sync_gap_ns->snapshot().count +
                m.accept_depth->snapshot().count +

@@ -49,7 +49,8 @@ HermesRuntime::HermesRuntime(const Options& opts)
       last_push_ns_(num_groups_),
       gather_enter_(num_workers_),
       gather_pending_(num_workers_),
-      gather_conns_(num_workers_) {
+      gather_conns_(num_workers_),
+      sched_calls_(num_workers_) {
   HERMES_CHECK(num_workers_ > 0);
   HERMES_CHECK(policy_->aux_words() <= kMaxWorkersPerGroup);
   for (auto& t : last_sync_ns_) t.store(-1, std::memory_order_relaxed);
@@ -63,14 +64,15 @@ ScheduleResult HermesRuntime::schedule_and_sync(WorkerId self, SimTime now) {
   const uint32_t limit = std::min(wpg_, num_workers_ - base);
 
   ScheduleResult res;
-  if (obs_ != nullptr) {
+  if (obs_ != nullptr && sched_calls_[self]++ % kSchedTimingStride == 0) {
     const auto t0 = std::chrono::steady_clock::now();
     res = scheduler_.schedule(wst_, now, base, limit);
     const auto dt = std::chrono::steady_clock::now() - t0;
     obs_->metrics.sched_fast_path_ns->add(
-        self, static_cast<uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                      .count()));
+        self, kSchedTimingStride *
+                  static_cast<uint64_t>(
+                      std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
+                          .count()));
   } else {
     res = scheduler_.schedule(wst_, now, base, limit);
   }

@@ -96,6 +96,11 @@ class HermesRuntime {
   // skipped when the bitmap is unchanged within
   // config.sync_refresh_interval, or when fault injection drops it).
   ScheduleResult schedule_and_sync(WorkerId self, SimTime now);
+  // With observability on, only every kSchedTimingStride-th
+  // schedule_and_sync of a worker is timed for sched.fast_path_ns, and
+  // charged that many times over: the two clock reads cost about as much
+  // as the schedule they time.
+  static constexpr uint32_t kSchedTimingStride = 16;
 
   // Two-level variant (DESIGN.md §8): gather every group's slots in ONE
   // pass over the WST, then run the cascade and sync for each group from
@@ -168,6 +173,9 @@ class HermesRuntime {
   // Scratch for schedule_all_groups' single-pass gather (one caller at a
   // time; sized num_workers at construction).
   std::vector<int64_t> gather_enter_, gather_pending_, gather_conns_;
+  // schedule_and_sync calls per worker (see kSchedTimingStride); each
+  // worker touches only its own entry.
+  std::vector<uint32_t> sched_calls_;
 };
 
 }  // namespace hermes::core

@@ -206,7 +206,9 @@ struct PipelineMetrics {
 
   // Stage 2 — scheduling fast path (DESIGN.md §8).
   Counter* sched_syncs_suppressed;  // M_sel stores skipped: bitmap unchanged
-  Counter* sched_fast_path_ns;      // wall ns accumulated inside schedule()
+  // Wall ns inside schedule(), estimated: each worker times one call in
+  // HermesRuntime::kSchedTimingStride and adds it that many times.
+  Counter* sched_fast_path_ns;
 
   // Scheduling-policy framework (core/policy.h, DESIGN.md §12), indexed
   // by core::PolicyKind. publishes counts kernel-visible policy-state
