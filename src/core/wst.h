@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
 
 #include "util/check.h"
 #include "util/types.h"
@@ -76,15 +77,19 @@ class WorkerStatusTable {
   uint32_t num_workers() const { return header_->num_workers; }
 
   // ---- writer side (each worker touches only its own slot) -------------
+  // A slot has a single writer, so a count update is a relaxed load+store
+  // rather than a lock-prefixed RMW (the obs::Counter argument): readers
+  // still see untorn words, and no other writer can interleave.
   void update_avail(WorkerId w, SimTime now) {
-    slot(w).loop_enter_ns.store(now.ns(), std::memory_order_release);
-    slot(w).loop_iterations.fetch_add(1, std::memory_order_relaxed);
+    WorkerSlot& s = slot(w);
+    s.loop_enter_ns.store(now.ns(), std::memory_order_release);
+    bump(s.loop_iterations, 1);
   }
   void add_pending(WorkerId w, int64_t delta) {
-    slot(w).pending_events.fetch_add(delta, std::memory_order_relaxed);
+    bump(slot(w).pending_events, delta);
   }
   void add_connections(WorkerId w, int64_t delta) {
-    slot(w).connections.fetch_add(delta, std::memory_order_relaxed);
+    bump(slot(w).connections, delta);
   }
 
   // ---- reader side (any worker's embedded scheduler) -------------------
@@ -123,6 +128,12 @@ class WorkerStatusTable {
  private:
   WorkerStatusTable(Header* h, WorkerSlot* slots)
       : header_(h), slots_(slots) {}
+
+  template <class T>
+  static void bump(std::atomic<T>& word, std::type_identity_t<T> delta) {
+    word.store(word.load(std::memory_order_relaxed) + delta,
+               std::memory_order_relaxed);
+  }
 
   WorkerSlot& slot(WorkerId w) {
     HERMES_DCHECK(w < header_->num_workers);
