@@ -36,20 +36,17 @@ class ConnStore {
   static constexpr uint32_t kChunkBits = 9;
   static constexpr uint32_t kChunkRows = 1u << kChunkBits;
 
-  explicit ConnStore(bool with_http) : with_http_(with_http) {}
+  // The first chunk comes with the store, for the reason EventQueue's
+  // first record chunk does: allocated at the first connection, it split
+  // the memory the owning LbDevice's set-up had just freed.
+  explicit ConnStore(bool with_http) : with_http_(with_http) { add_chunk(); }
   ConnStore(const ConnStore&) = delete;
   ConnStore& operator=(const ConnStore&) = delete;
 
   // Claim the free row at `slot` for connection `id` and reset it.
   Row& insert(uint32_t slot, netsim::ConnId id) {
     HERMES_DCHECK(id != 0);
-    while ((slot >> kChunkBits) >= chunks_.size()) {
-      auto ch = std::make_unique<Chunk>();
-      if (with_http_) {
-        ch->http = std::make_unique<std::optional<Http>[]>(kChunkRows);
-      }
-      chunks_.push_back(std::move(ch));
-    }
+    while ((slot >> kChunkBits) >= chunks_.size()) add_chunk();
     Chunk& ch = chunk(slot);
     const uint32_t off = off_of(slot);
     HERMES_CHECK_MSG(ch.id[off] == 0, "connection store slot in use");
@@ -128,6 +125,14 @@ class ConnStore {
     Row row[kChunkRows];
     std::unique_ptr<std::optional<Http>[]> http;  // null without with_http
   };
+
+  void add_chunk() {
+    auto ch = std::make_unique<Chunk>();
+    if (with_http_) {
+      ch->http = std::make_unique<std::optional<Http>[]>(kChunkRows);
+    }
+    chunks_.push_back(std::move(ch));
+  }
 
   Chunk& chunk(uint32_t slot) { return *chunks_[slot >> kChunkBits]; }
   const Chunk& chunk(uint32_t slot) const {
