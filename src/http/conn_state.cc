@@ -1,6 +1,5 @@
 #include "http/conn_state.h"
 
-#include <cstddef>
 #include <string>
 
 namespace hermes::http {
@@ -33,7 +32,7 @@ void ConnState::on_client_data(std::string_view flat) {
 
 void ConnState::pump() {
   while (!in_q_.empty() && !parser_.failed() && !saw_close_ &&
-         ready_.size() - ready_head_ < cfg_.max_pipeline) {
+         ready_.size() < cfg_.max_pipeline) {
     netsim::IoSlice& front = in_q_.front();
     const std::string_view view =
         front.view().substr(in_q_off_, front.len - in_q_off_);
@@ -62,7 +61,7 @@ void ConnState::pump() {
       Request r = parser_.take();
       saw_close_ = !r.keep_alive();
       ++stats_.requests;
-      ready_.emplace_back(std::move(r), std::move(cur_wire_));
+      ready_.push_back(Ready{std::move(r), std::move(cur_wire_)});
       cur_wire_ = netsim::IoChain{};
       continue;
     }
@@ -71,17 +70,9 @@ void ConnState::pump() {
 }
 
 std::optional<ConnState::Ready> ConnState::pop_ready() {
-  if (!has_ready()) return std::nullopt;
-  std::optional<Ready> out(std::move(ready_[ready_head_++]));
-  if (ready_head_ == ready_.size()) {
-    ready_.clear();
-    ready_head_ = 0;
-  } else if (ready_head_ >= cfg_.max_pipeline) {
-    // Never drained: drop the popped (moved-from) prefix.
-    ready_.erase(ready_.begin(),
-                 ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_));
-    ready_head_ = 0;
-  }
+  if (ready_.empty()) return std::nullopt;
+  Ready out = std::move(ready_.front());
+  ready_.pop_front();
   pump();  // backpressure may have paused parsing
   return out;
 }

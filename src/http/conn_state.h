@@ -19,7 +19,6 @@
 #include <deque>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "http/parser.h"
 #include "http/response.h"
@@ -67,7 +66,7 @@ class ConnState {
   // (models the NIC→userspace admission copy; identical in both modes).
   void on_client_data(std::string_view flat);
 
-  bool has_ready() const { return ready_head_ < ready_.size(); }
+  bool has_ready() const { return !ready_.empty(); }
   std::optional<Ready> pop_ready();
 
   // LB→client chain for one encoded response: references `encoded` in
@@ -96,11 +95,7 @@ class ConnState {
   std::deque<netsim::IoSlice> in_q_;  // retained, not-yet-parsed bytes
   size_t in_q_off_ = 0;               // parse offset into in_q_.front()
   netsim::IoChain cur_wire_;          // bytes of the in-progress request
-  // Parsed, not yet popped requests: ready_[ready_head_...]. The vector
-  // keeps its capacity, so a keep-alive connection allocates nothing per
-  // request here (a std::deque would hold each Ready in its own node).
-  std::vector<Ready> ready_;
-  size_t ready_head_ = 0;
+  std::deque<Ready> ready_;
   Stats stats_;
   bool saw_close_ = false;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "http/response.h"
 #include "util/check.h"
 
 namespace hermes::sim {
@@ -76,14 +77,6 @@ void DataPlane::synth_response_body(const Request& req, std::string* out) {
   const uint64_t body_len = req.bytes;  // echo-sized deterministic payload
   out->reserve(body_len);
   append_cycle(out, kUpperCycle, req.id * 7, body_len);
-}
-
-void DataPlane::synth_response_wire(const Request& req, std::string* out) {
-  out->clear();
-  out->append("HTTP/1.1 200 OK\r\nServer: hermes-lb\r\nContent-Length: ");
-  append_u64(out, req.bytes);
-  out->append("\r\n\r\n");
-  append_cycle(out, kUpperCycle, req.id * 7, req.bytes);
 }
 
 DataPlane::DataPlane(const Config& cfg, uint32_t num_workers,
@@ -177,10 +170,14 @@ void DataPlane::on_response(WorkerId w, ConnCtx& c, const Request& req,
                             SimTime now) {
   if (w >= num_workers_) w = 0;
 
-  // The backend-side admission copy (as http::ConnState::encode makes).
-  synth_response_wire(req, &scratch_);
-  netsim::IoChain encoded;
-  encoded.append_copy(scratch_);
+  http::Response resp;
+  resp.set_status(200);
+  resp.add_header("Server", "hermes-lb");
+  std::string body;
+  synth_response_body(req, &body);
+  resp.set_body(std::move(body));
+
+  const netsim::IoChain encoded = http::ConnState::encode(resp);
   const netsim::IoChain out = c.cs.egress(encoded);
   totals_.client_stream_hash = out.checksum(totals_.client_stream_hash);
   totals_.bytes_out += out.size();

@@ -116,10 +116,6 @@ class DataPlane {
   static void synth_request_wire(const Request& req, bool last_on_conn,
                                  std::string* out);
   static void synth_response_body(const Request& req, std::string* out);
-  // The backend's serialized reply to `req`: the bytes of a status-200
-  // http::Response with a "Server: hermes-lb" header and the
-  // synth_response_body body, written without building that Response.
-  static void synth_response_wire(const Request& req, std::string* out);
 
  private:
   void sync_pool_stats(WorkerId w);
